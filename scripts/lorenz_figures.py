@@ -28,20 +28,10 @@ from machina.catalog import (
     q3,
     q4,
 )
-from machina.distributions import compare, lorenz_curve, pad_to, validate_distribution
+from machina.cli import lorenz_pair_csv
+from machina.distributions import validate_distribution
 from machina.hmm import stationary
 from machina.quantum import memory_spectrum
-
-
-def comparison_csv(dist_a, dist_b) -> str:
-    n = max(len(dist_a), len(dist_b))
-    dist_a, dist_b = pad_to(dist_a, n), pad_to(dist_b, n)
-    verdict = compare(dist_a, dist_b)
-    curve_a, curve_b = lorenz_curve(dist_a), lorenz_curve(dist_b)
-    lines = [f"verdict,{verdict}", "k,cumulative_a,cumulative_b"]
-    for k, ca, cb in zip(curve_a.k, curve_a.cumulative, curve_b.cumulative):
-        lines.append(f"{int(k)},{ca:.12g},{cb:.12g}")
-    return "\n".join(lines) + "\n"
 
 
 def main() -> int:
@@ -75,7 +65,7 @@ def main() -> int:
     }
     for name, (dist_a, dist_b) in comparisons.items():
         path = outdir / f"{name}.csv"
-        text = comparison_csv(dist_a, dist_b)
+        text = lorenz_pair_csv(dist_a, dist_b)
         path.write_text(text, newline="\n")
         print(f"{name:<26}{text.splitlines()[0].split(',')[1]}")
     print(f"wrote {len(comparisons)} tables to {outdir}/")

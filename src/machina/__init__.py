@@ -41,6 +41,7 @@ from .quantum import (
     PureStateQuantumModel,
     build_qmachine,
     classical_equivalent,
+    completeness_residual,
     embed_states,
     gram_fixed_point,
     memory_spectrum,
@@ -55,8 +56,8 @@ from .quantum import (
 from .qubit_family import (
     CandidateModel2D,
     candidate,
-    completeness_residual,
     counterexample_report,
+    frame_residual,
     uniqueness_sweep,
 )
 

@@ -37,13 +37,13 @@ from .errors import (
 )
 from .hmm import (
     FinitePredictiveModel,
+    _directives,
+    _stationary_residual,
     parse_model,
     serialize_model,
     stationary,
-    word_distribution,
-    word_probability,
 )
-from .minimize import block_map_lines, format_alpha, is_epsilon_machine, strong_minimality_report
+from .minimize import is_epsilon_machine, strong_minimality_report
 from .quantum import (
     PureStateQuantumModel,
     build_qmachine,
@@ -51,14 +51,13 @@ from .quantum import (
     completeness_residual,
     memory_spectrum,
     parse_quantum_model,
-    quantum_word_probability,
     serialize_quantum_model,
     strong_advantage_report,
-    vn_renyi,
 )
 from .qubit_family import counterexample_report, sweep_csv
 
 _USAGE_ERRORS = (
+    FileNotFoundError,
     ModelFormatError,
     UnknownStateError,
     UnknownSymbolError,
@@ -77,15 +76,18 @@ def _human_num(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _format_alpha(alpha: float) -> str:
+    if math.isinf(alpha):
+        return "inf"
+    if float(alpha) == int(alpha):
+        return str(int(alpha))
+    return f"{alpha:g}"
+
+
 def _parse_text(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        if head.strip() != "model":
+    for _, head, kind in _directives(text):
+        if head != "model":
             break
-        kind = rest.strip()
         if kind == "classical":
             return parse_model(text)
         if kind == "quantum":
@@ -125,7 +127,7 @@ def _parse_alphas(raw: str | None):
         if not tok:
             continue
         value = math.inf if tok.lower() in ("inf", "infinity") else float(tok)
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"alpha must be nonnegative, got {tok}")
         out.append(value)
     if not out:
@@ -133,14 +135,27 @@ def _parse_alphas(raw: str | None):
     return tuple(out)
 
 
-def _write_or_print(args, payload: str):
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
-        print(f"wrote {out}")
-    else:
-        print(payload, end="")
+def _write_out(path: str, payload: str):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(payload)
+    print(f"wrote {path}")
+
+
+def _lorenz_pair(dist_a, dist_b):
+    """Verdict and (k, cumulative_a, cumulative_b) rows, the shorter vector zero-padded."""
+    n = max(len(dist_a), len(dist_b))
+    dist_a, dist_b = pad_to(dist_a, n), pad_to(dist_b, n)
+    curve_a, curve_b = lorenz_curve(dist_a), lorenz_curve(dist_b)
+    rows = zip(curve_a.k, curve_a.cumulative, curve_b.cumulative)
+    return compare(dist_a, dist_b), [(int(k), ca, cb) for k, ca, cb in rows]
+
+
+def lorenz_pair_csv(dist_a, dist_b) -> str:
+    """Two Lorenz curves as CSV: the verdict line, then ``k,cumulative_a,cumulative_b``."""
+    verdict, rows = _lorenz_pair(dist_a, dist_b)
+    lines = [f"verdict,{verdict}", "k,cumulative_a,cumulative_b"]
+    lines += [f"{k},{_csv_num(ca)},{_csv_num(cb)}" for k, ca, cb in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------- subcommands
@@ -149,8 +164,7 @@ def cmd_validate(args) -> int:
     with open(args.path, encoding="utf-8") as fh:
         model = _parse_text(fh.read())
     if isinstance(model, FinitePredictiveModel):
-        pi = stationary(model)
-        resid = float(np.max(np.abs(pi.probs @ model.total_matrix() - pi.probs)))
+        resid = _stationary_residual(stationary(model).probs, model.total_matrix())
         print("kind: classical")
         print(f"states: {len(model.states)}")
         print(f"symbols: {len(model.alphabet)}")
@@ -172,45 +186,34 @@ def cmd_validate(args) -> int:
 def cmd_entropy(args) -> int:
     model = _resolve_single(args)
     alphas = _parse_alphas(args.alpha)
-    quantum = isinstance(model, PureStateQuantumModel)
-    rows = [
-        (a, vn_renyi(model, a) if quantum else renyi_entropy(stationary(model), a))
-        for a in alphas
-    ]
+    dist = _memory_distribution(model)
+    rows = [(a, renyi_entropy(dist, a)) for a in alphas]
     if args.format == "csv":
         print("alpha,bits")
         for a, bits in rows:
-            print(f"{format_alpha(a)},{_csv_num(bits)}")
+            print(f"{_format_alpha(a)},{_csv_num(bits)}")
     else:
-        label = "S_alpha" if quantum else "H_alpha"
+        label = "S_alpha" if isinstance(model, PureStateQuantumModel) else "H_alpha"
         print(f"{'alpha':<8}{label} (bits)")
         for a, bits in rows:
-            print(f"{format_alpha(a):<8}{_human_num(bits)}")
+            print(f"{_format_alpha(a):<8}{_human_num(bits)}")
     return 0
 
 
 def _two_distributions(args):
-    dist_a = _memory_distribution(_load_any(args.model_a))
-    dist_b = _memory_distribution(_load_any(args.model_b))
-    n = max(len(dist_a), len(dist_b))
-    return pad_to(dist_a, n), pad_to(dist_b, n)
+    return tuple(_memory_distribution(_load_any(spec)) for spec in (args.model_a, args.model_b))
 
 
 def cmd_lorenz(args) -> int:
     dist_a, dist_b = _two_distributions(args)
-    verdict = compare(dist_a, dist_b)
-    curve_a = lorenz_curve(dist_a)
-    curve_b = lorenz_curve(dist_b)
     if args.format == "csv":
-        print(f"verdict,{verdict}")
-        print("k,cumulative_a,cumulative_b")
-        for k, ca, cb in zip(curve_a.k, curve_a.cumulative, curve_b.cumulative):
-            print(f"{int(k)},{_csv_num(ca)},{_csv_num(cb)}")
-    else:
-        print(f"verdict: {verdict}")
-        print(f"{'k':<6}{'cumulative_a':<16}cumulative_b")
-        for k, ca, cb in zip(curve_a.k, curve_a.cumulative, curve_b.cumulative):
-            print(f"{int(k):<6}{_human_num(ca):<16}{_human_num(cb)}")
+        print(lorenz_pair_csv(dist_a, dist_b), end="")
+        return 0
+    verdict, rows = _lorenz_pair(dist_a, dist_b)
+    print(f"verdict: {verdict}")
+    print(f"{'k':<6}{'cumulative_a':<16}cumulative_b")
+    for k, ca, cb in rows:
+        print(f"{k:<6}{_human_num(ca):<16}{_human_num(cb)}")
     return 0
 
 
@@ -232,17 +235,15 @@ def cmd_epsilonize(args) -> int:
     if report.already_minimal:
         print("already minimal: every state is probabilistically distinct")
     print("blocks:")
-    for line in block_map_lines(report.partition):
-        print(f"  {line}")
+    for block, name in zip(report.partition.blocks, report.partition.block_names()):
+        print(f"  {name} <- {{{' '.join(sorted(block))}}}")
     print(f"states: {len(model.states)} -> {len(report.machine.states)}")
     print(f"verdict: {report.verdict}")
     print(f"{'alpha':<8}{'H_machine':<14}H_model")
     for a, h_machine, h_model in report.entropies:
-        print(f"{format_alpha(a):<8}{_human_num(h_machine):<14}{_human_num(h_model)}")
+        print(f"{_format_alpha(a):<8}{_human_num(h_machine):<14}{_human_num(h_model)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(serialize_model(report.machine))
-        print(f"wrote {args.out}")
+        _write_out(args.out, serialize_model(report.machine))
     return 0
 
 
@@ -268,11 +269,9 @@ def cmd_qmachine(args) -> int:
     print(f"verdict: {report.verdict}")
     print(f"{'alpha':<8}{'S_quantum':<14}H_classical")
     for a, s_q, h_c in report.entropies:
-        print(f"{format_alpha(a):<8}{_human_num(s_q):<14}{_human_num(h_c)}")
+        print(f"{_format_alpha(a):<8}{_human_num(s_q):<14}{_human_num(h_c)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(serialize_quantum_model(q))
-        print(f"wrote {args.out}")
+        _write_out(args.out, serialize_quantum_model(q))
     return 0
 
 
@@ -290,66 +289,47 @@ def cmd_counterexample(args) -> int:
     return 0 if report.passed else 1
 
 
+def _word_table(model, args) -> dict:
+    rep = model.linear_rep()
+    if args.word is None:
+        return rep.words(args.max_len)
+    return {tuple(args.word): rep.probability(args.word)}
+
+
 def cmd_wordprob(args) -> int:
     model = _resolve_single(args)
     quantum = isinstance(model, PureStateQuantumModel)
-    classical = classical_equivalent(model) if quantum else model
-    if args.word is not None:
-        word = tuple(args.word)
-        p_cl = word_probability(classical, word)
+    table = _word_table(classical_equivalent(model) if quantum else model, args)
+    probs = _word_table(model, args) if quantum else table
+    rows = [
+        ("".join(w), probs.get(w, 0.0), abs(probs.get(w, 0.0) - table[w])) for w in sorted(table)
+    ]
+    if args.format == "csv":
+        print("word,probability,classical_delta" if quantum else "word,probability")
+        for word, p, delta in rows:
+            print(f"{word},{_csv_num(p)}" + (f",{_csv_num(delta)}" if quantum else ""))
+    elif args.word is not None:
+        word, p, delta = rows[0]
+        print(f"P({word}) = {_human_num(p)}")
         if quantum:
-            p_q = quantum_word_probability(model, word)
-            delta = abs(p_q - p_cl)
-            if args.format == "csv":
-                print("word,probability,classical_delta")
-                print(f"{args.word},{_csv_num(p_q)},{_csv_num(delta)}")
-            else:
-                print(f"P({args.word}) = {_human_num(p_q)}")
-                print(f"classical-equivalent delta: {delta:.3g}")
-        else:
-            if args.format == "csv":
-                print("word,probability")
-                print(f"{args.word},{_csv_num(p_cl)}")
-            else:
-                print(f"P({args.word}) = {_human_num(p_cl)}")
-        return 0
-    length = args.max_len
-    table = word_distribution(classical, length)
-    words = sorted(table)
-    if quantum:
-        from .quantum import quantum_word_distribution
-
-        q_table = quantum_word_distribution(model, length)
-        if args.format == "csv":
-            print("word,probability,classical_delta")
-            for w in words:
-                delta = abs(q_table.get(w, 0.0) - table[w])
-                print(f"{''.join(w)},{_csv_num(q_table.get(w, 0.0))},{_csv_num(delta)}")
-        else:
-            max_delta = max(abs(q_table.get(w, 0.0) - table[w]) for w in words)
-            print(f"{'word':<12}probability")
-            for w in words:
-                print(f"{''.join(w):<12}{_human_num(q_table.get(w, 0.0))}")
-            print(f"max classical-equivalent delta: {max_delta:.3g}")
+            print(f"classical-equivalent delta: {delta:.3g}")
     else:
-        if args.format == "csv":
-            print("word,probability")
-            for w in words:
-                print(f"{''.join(w)},{_csv_num(table[w])}")
-        else:
-            print(f"{'word':<12}probability")
-            for w in words:
-                print(f"{''.join(w):<12}{_human_num(table[w])}")
+        print(f"{'word':<12}probability")
+        for word, p, _ in rows:
+            print(f"{word:<12}{_human_num(p)}")
+        if quantum:
+            print(f"max classical-equivalent delta: {max(d for _, _, d in rows):.3g}")
     return 0
 
 
 def cmd_export(args) -> int:
     model = get_process(args.process)
-    if isinstance(model, FinitePredictiveModel):
-        payload = serialize_model(model)
+    quantum = isinstance(model, PureStateQuantumModel)
+    payload = (serialize_quantum_model if quantum else serialize_model)(model)
+    if args.out:
+        _write_out(args.out, payload)
     else:
-        payload = serialize_quantum_model(model)
-    _write_or_print(args, payload)
+        print(payload, end="")
     return 0
 
 
@@ -436,9 +416,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,7 +41,12 @@ _CHAIN_TOL = 1e-12
 def comparison_tolerance() -> float:
     """Active prefix-sum tolerance; the MACHINA_TOL env var overrides 1e-9."""
     raw = os.environ.get("MACHINA_TOL")
-    return DEFAULT_TOL if raw is None else float(raw)
+    if raw is None:
+        return DEFAULT_TOL
+    tol = float(raw)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"MACHINA_TOL must be a finite nonnegative number, got {raw!r}")
+    return tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,9 +59,9 @@ class Distribution:
         arr = np.array(self.probs, dtype=float).reshape(-1)
         if arr.size == 0:
             raise NotNormalizedError("empty probability vector")
-        if np.any(arr < 0):
-            raise NegativeEntryError(f"negative entry {arr.min():g}")
-        if abs(arr.sum() - 1.0) > NORMALIZATION_TOL:
+        if not np.all(arr >= 0):
+            raise NegativeEntryError(f"entry {arr.min():g} is not a nonnegative number")
+        if not abs(arr.sum() - 1.0) <= NORMALIZATION_TOL:
             raise NotNormalizedError(f"entries sum to {arr.sum():.12g}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -88,7 +93,7 @@ def validate_distribution(raw) -> Distribution:
     if isinstance(raw, Distribution):
         return raw
     arr = np.array(raw, dtype=float).reshape(-1)
-    if np.any(arr < -NEGATIVE_CLIP):
+    if not np.all(arr >= -NEGATIVE_CLIP):
         raise NegativeEntryError(f"entry {arr.min():.6g} below -{NEGATIVE_CLIP:g}")
     arr[arr < 0] = 0.0
     return Distribution(arr)
@@ -201,7 +206,7 @@ def renyi_entropy(d, alpha) -> float:
     """
     d = validate_distribution(d)
     alpha = float(alpha)
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     p = d.probs[d.probs > SUPPORT_TOL]
     if alpha == 0.0:
@@ -217,10 +222,6 @@ def renyi_negentropy(d, alpha) -> float:
     """log2(n) - H_alpha; grows under zero-padding, unlike the entropy."""
     d = validate_distribution(d)
     return math.log2(len(d)) - renyi_entropy(d, alpha)
-
-
-def entropy_table(d, alphas=ALPHA_GRID) -> tuple[tuple[float, float], ...]:
-    return tuple((a, renyi_entropy(d, a)) for a in alphas)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,23 @@ transition per (state, symbol) pair.  Unifilarity is baked into the data
 layout: the transition table maps (state, symbol) to a single successor.
 The summed transition matrix must be row-stochastic and its positive part
 strongly connected.
+
+Word probabilities go through a linear representation (start, ops, final):
+the probability of x1..xk is final(start @ ops[x1] @ ... @ ops[xk]).  An
+HMM's representation is its stationary row vector (or a one-hot start
+state), its symbol matrices, and the sum of all entries.  A pure-state
+quantum model's is its density matrix rho, the Kraus maps rho -> K rho K^dag
+(the superoperators kron(K, conj(K)) acting on vec(rho)), and the trace (see
+``PureStateQuantumModel.linear_rep``), so one :class:`LinearRep` computes
+words for both model kinds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -55,23 +66,25 @@ class FinitePredictiveModel:
         if not alphabet or len(set(alphabet)) != len(alphabet):
             raise ModelFormatError("alphabet must be nonempty and unique")
         cleaned: dict[tuple[str, str], tuple[float, str]] = {}
+        rows = dict.fromkeys(states, 0.0)  # emitted probability per state
         for (s, x), (p, succ) in self.trans.items():
-            if s not in states:
+            if s not in rows:
                 raise UnknownStateError(f"transition from undeclared state {s!r}")
-            if succ not in states:
+            if succ not in rows:
                 raise UnknownStateError(f"transition into undeclared state {succ!r}")
             if x not in alphabet:
                 raise UnknownSymbolError(f"transition on undeclared symbol {x!r}")
             p = float(p)
-            if p < -POSITIVE_TOL or p > 1.0 + ROW_SUM_TOL:
+            if not (-POSITIVE_TOL <= p <= 1.0 + ROW_SUM_TOL):
                 raise NotStochasticError(f"probability {p:.6g} outside [0, 1]")
-            cleaned[(s, x)] = (max(p, 0.0), succ)
+            p = max(p, 0.0)
+            cleaned[(s, x)] = (p, succ)
+            rows[s] += p
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "trans", cleaned)
-        for s in states:
-            row = sum(p for (s2, _), (p, _) in cleaned.items() if s2 == s)
-            if abs(row - 1.0) > ROW_SUM_TOL:
+        for s, row in rows.items():
+            if not abs(row - 1.0) <= ROW_SUM_TOL:
                 raise NotStochasticError(f"state {s!r} emits total probability {row:.12g}")
         self._check_irreducible()
 
@@ -125,6 +138,18 @@ class FinitePredictiveModel:
             if x == symbol:
                 mat[idx[s], idx[succ]] = p
         return mat
+
+    def linear_rep(self, start: str | None = None) -> LinearRep:
+        """Word-probability view: stationary mix (or one state), symbol matrices, sum."""
+        if start is None:
+            vec = stationary(self).probs
+        elif start in self.states:
+            vec = np.zeros(len(self.states))
+            vec[self.state_index()[start]] = 1.0
+        else:
+            raise UnknownStateError(f"unknown start state {start!r}")
+        ops = {x: self.symbol_matrix(x) for x in self.alphabet}
+        return LinearRep(vec, ops, np.ndarray.sum)
 
     def total_matrix(self) -> np.ndarray:
         idx = self.state_index()
@@ -189,55 +214,59 @@ def _power_iteration(t_mat: np.ndarray) -> np.ndarray:
     raise NoConvergenceError(f"power iteration did not converge in {_POWER_ITER_CAP} steps")
 
 
-def _as_symbols(m: FinitePredictiveModel, word) -> list[str]:
-    symbols = list(word)
-    for x in symbols:
-        if x not in m.alphabet:
-            raise UnknownSymbolError(f"symbol {x!r} not in alphabet {m.alphabet}")
-    return symbols
+@dataclass(frozen=True, eq=False)
+class LinearRep:
+    """A start state, one operator per symbol, and a final functional.
+
+    The start is a row vector (or a density matrix) that each operator acts
+    on from the right by ``@``; ``final`` maps a propagated state to the
+    probability it carries.  The probability of a word is
+    ``final(start @ ops[x1] @ ... @ ops[xk])``.
+    """
+
+    start: np.ndarray
+    ops: dict
+    final: Callable[[np.ndarray], float]
+
+    def probability(self, word) -> float:
+        vec = self.start
+        for x in word:
+            if x not in self.ops:
+                raise UnknownSymbolError(f"symbol {x!r} not in alphabet {tuple(self.ops)}")
+            vec = vec @ self.ops[x]
+        return float(self.final(vec))
+
+    def words(self, length: int) -> dict:
+        """All positive-probability words of exactly ``length`` symbols, {word tuple: probability}.
+
+        Depth-first: each shared prefix is propagated once, and only one
+        vector per open branch is held, not a whole level of the word tree.
+        """
+        if length < 0:
+            raise ValueError(f"word length must be nonnegative, got {length}")
+        final = self.final
+        out: dict[tuple, float] = {}
+        stack = [((), self.start)]
+        while stack:
+            prefix, vec = stack.pop()
+            if len(prefix) == length:
+                out[prefix] = float(final(vec))
+                continue
+            for x, op in self.ops.items():
+                nxt = vec @ op
+                if final(nxt) > 0.0:
+                    stack.append((prefix + (x,), nxt))
+        return out
 
 
 def word_probability(m: FinitePredictiveModel, word, start: str | None = None) -> float:
     """Probability of emitting ``word``, from the stationary mix or a fixed state."""
-    symbols = _as_symbols(m, word)
-    if start is None:
-        vec = stationary(m).probs.copy()
-    else:
-        if start not in m.states:
-            raise UnknownStateError(f"unknown start state {start!r}")
-        vec = np.zeros(len(m.states))
-        vec[m.state_index()[start]] = 1.0
-    for x in symbols:
-        vec = vec @ m.symbol_matrix(x)
-    return float(vec.sum())
+    return m.linear_rep(start).probability(word)
 
 
 def word_distribution(m: FinitePredictiveModel, length: int, start: str | None = None) -> dict:
-    """All positive-probability words of exactly ``length`` symbols.
-
-    Returns {word tuple: probability}; prefixes are shared, so this is much
-    cheaper than one word_probability call per word.
-    """
-    mats = {x: m.symbol_matrix(x) for x in m.alphabet}
-    if start is None:
-        root = stationary(m).probs
-    else:
-        if start not in m.states:
-            raise UnknownStateError(f"unknown start state {start!r}")
-        root = np.zeros(len(m.states))
-        root[m.state_index()[start]] = 1.0
-    out: dict[tuple, float] = {}
-    stack = [((), root)]
-    while stack:
-        prefix, vec = stack.pop()
-        if len(prefix) == length:
-            out[prefix] = float(vec.sum())
-            continue
-        for x in m.alphabet:
-            nxt = vec @ mats[x]
-            if nxt.sum() > 0.0:
-                stack.append((prefix + (x,), nxt))
-    return out
+    """All positive-probability words of exactly ``length`` symbols, {word tuple: probability}."""
+    return m.linear_rep(start).words(length)
 
 
 def renyi_memory(m: FinitePredictiveModel, alpha) -> float:
@@ -307,12 +336,23 @@ def split_state(
 # ---------------------------------------------------------------- file format
 
 def _parse_number(token: str, lineno: int) -> float:
+    """A decimal or ``a/b`` fraction; anything else, nan and inf included, is an error."""
     try:
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
+        value = float(Fraction(token)) if "/" in token else float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelFormatError(f"bad number {token!r}", lineno) from exc
+    if not math.isfinite(value):
+        raise ModelFormatError(f"non-finite number {token!r}", lineno)
+    return value
+
+
+def _directives(text: str):
+    """Yield (line number, head, rest) for each ``head: rest`` line, comments stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head, _, rest = line.partition(":")
+            yield lineno, head.strip(), rest.strip()
 
 
 def _significant(x: float) -> str:
@@ -329,13 +369,7 @@ def parse_model(text: str) -> FinitePredictiveModel:
     alphabet: tuple[str, ...] | None = None
     states: tuple[str, ...] | None = None
     trans: dict[tuple[str, str], tuple[float, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        head = head.strip()
-        rest = rest.strip()
+    for lineno, head, rest in _directives(text):
         if head == "model":
             if kind is not None:
                 raise ModelFormatError("duplicate model line", lineno)
@@ -368,7 +402,7 @@ def parse_model(text: str) -> FinitePredictiveModel:
             if sym not in alphabet:
                 raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
             p = _parse_number(prob_tok, lineno)
-            if p < 0 or p > 1 + ROW_SUM_TOL:
+            if not (0 <= p <= 1 + ROW_SUM_TOL):
                 raise ModelFormatError(f"probability {prob_tok!r} outside [0, 1]", lineno)
             key = (src, sym)
             if key in trans:

@@ -9,7 +9,6 @@ blocks yields the minimal machine for the generated process.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .distributions import (
@@ -200,20 +199,3 @@ def canonical_encoding(m: FinitePredictiveModel, ndigits: int = 9) -> tuple:
     if best is None:
         raise ValueError("no state reaches the whole machine")
     return best
-
-
-def block_map_lines(part: StatePartition) -> list[str]:
-    """Human-readable block map, one merged state per line."""
-    lines = []
-    for block, name in zip(part.blocks, part.block_names()):
-        members = " ".join(sorted(block))
-        lines.append(f"{name} <- {{{members}}}")
-    return lines
-
-
-def format_alpha(alpha: float) -> str:
-    if math.isinf(alpha):
-        return "inf"
-    if float(alpha) == int(alpha):
-        return str(int(alpha))
-    return f"{alpha:g}"

@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,7 +44,14 @@ from .errors import (
     NotUnifilarError,
     UnknownSymbolError,
 )
-from .hmm import POSITIVE_TOL, FinitePredictiveModel, stationary
+from .hmm import (
+    POSITIVE_TOL,
+    FinitePredictiveModel,
+    LinearRep,
+    _directives,
+    _parse_number,
+    stationary,
+)
 from .minimize import is_epsilon_machine
 
 log = logging.getLogger(__name__)
@@ -84,6 +90,8 @@ class PureStateQuantumModel:
             raise InvalidModelError(
                 f"state matrix shape {states.shape} != ({self.dim}, {len(labels)})"
             )
+        if not np.all(np.isfinite(states)):
+            raise InvalidModelError("state matrix has a non-finite entry")
         if len(labels) < self.dim:
             raise InvalidModelError("need at least as many labels as dimensions")
         if len(set(labels)) != len(labels) or len(set(alphabet)) != len(alphabet):
@@ -95,6 +103,8 @@ class PureStateQuantumModel:
             k_mat = np.array(self.kraus[x], dtype=complex)
             if k_mat.shape != (self.dim, self.dim):
                 raise InvalidModelError(f"Kraus operator for {x!r} has shape {k_mat.shape}")
+            if not np.all(np.isfinite(k_mat)):
+                raise InvalidModelError(f"Kraus operator for {x!r} has a non-finite entry")
             k_mat.setflags(write=False)
             kraus[x] = k_mat
         states.setflags(write=False)
@@ -102,11 +112,11 @@ class PureStateQuantumModel:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "kraus", kraus)
-        norms = np.linalg.norm(states, axis=0)
-        if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
-            raise InvalidModelError(f"state norms deviate from 1 by {np.max(np.abs(norms-1)):.3g}")
+        norm_defect = np.max(np.abs(np.linalg.norm(states, axis=0) - 1.0))
+        if not norm_defect <= UNIT_TOL:
+            raise InvalidModelError(f"state norms deviate from 1 by {norm_defect:.3g}")
         resid = completeness_residual(self)
-        if resid > COMPLETENESS_TOL:
+        if not resid <= COMPLETENESS_TOL:
             raise CompletenessViolationError(f"completeness residual {resid:.3g}")
         _check_unifilar(self)
 
@@ -116,6 +126,26 @@ class PureStateQuantumModel:
 
     def state(self, label: str) -> np.ndarray:
         return self.states[:, self.labels.index(label)]
+
+    def linear_rep(self, rho: np.ndarray | None = None) -> LinearRep:
+        """Word-probability view: rho (default stationary), one Kraus map per symbol, the trace."""
+        if rho is None:
+            rho = stationary_density(self)
+        ops = {x: _KrausMap(k) for x, k in self.kraus.items()}
+        return LinearRep(np.asarray(rho), ops, lambda r: np.trace(r).real)
+
+
+class _KrausMap:
+    """rho -> K rho K^dag as ``rho @ op``: what kron(K, conj(K)) does to vec(rho),
+    in O(dim^3) time and O(dim^2) memory instead of O(dim^4) for both."""
+
+    __array_ufunc__ = None  # so ``ndarray @ op`` defers to __rmatmul__
+
+    def __init__(self, k: np.ndarray):
+        self.k, self.k_dag = k, k.conj().T
+
+    def __rmatmul__(self, rho: np.ndarray) -> np.ndarray:
+        return self.k @ rho @ self.k_dag
 
 
 def completeness_residual(q: PureStateQuantumModel) -> float:
@@ -195,17 +225,26 @@ def embed_states(gram: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[int, np.
     reproduce the overlaps.
     """
     gram = np.asarray(gram)
-    if np.max(np.abs(gram - gram.conj().T)) > UNIT_TOL:
+    if not np.max(np.abs(gram - gram.conj().T)) <= UNIT_TOL:
         raise NotHermitianError("overlap matrix is not Hermitian")
+    states, _ = _eigen_embed(gram, rank_tol)
+    return states.shape[0], states
+
+
+def _eigen_embed(gram: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """State matrix realizing ``gram`` and its pseudoinverse, via eigendecomposition.
+
+    Keeps the eigenvalues above ``rank_tol`` in descending order; returns
+    S = sqrt(W) U^dag (dim x n) and U W^{-1/2} (n x dim).
+    """
     w, u = np.linalg.eigh(gram)
-    if w.min() < -PSD_TOL:
+    if not w.min() >= -PSD_TOL:
         raise NotPSDError(f"overlap matrix has eigenvalue {w.min():.3g}")
     order = np.argsort(w)[::-1]
     w, u = w[order], u[:, order]
     keep = w > rank_tol
-    dim = int(keep.sum())
-    states = np.diag(np.sqrt(w[keep])) @ u[:, keep].conj().T
-    return dim, states
+    root, vecs = np.sqrt(w[keep]), u[:, keep]
+    return np.diag(root) @ vecs.conj().T, vecs @ np.diag(1.0 / root)
 
 
 def build_qmachine(m: FinitePredictiveModel) -> PureStateQuantumModel:
@@ -215,16 +254,7 @@ def build_qmachine(m: FinitePredictiveModel) -> PureStateQuantumModel:
     is the least-squares solution of K S = S'_x, with the pseudoinverse taken
     through the overlap eigendecomposition (rank tolerance 1e-10).
     """
-    gram = gram_fixed_point(m)
-    w, u = np.linalg.eigh(gram)
-    order = np.argsort(w)[::-1]
-    w, u = w[order], u[:, order]
-    if w.min() < -PSD_TOL:
-        raise NotPSDError(f"overlap fixed point has eigenvalue {w.min():.3g}")
-    keep = w > RANK_TOL
-    dim = int(keep.sum())
-    states = np.diag(np.sqrt(w[keep])) @ u[:, keep].conj().T
-    pinv = u[:, keep] @ np.diag(1.0 / np.sqrt(w[keep]))
+    states, pinv = _eigen_embed(gram_fixed_point(m), RANK_TOL)
     idx = m.state_index()
     kraus = {}
     for x in m.alphabet:
@@ -235,20 +265,30 @@ def build_qmachine(m: FinitePredictiveModel) -> PureStateQuantumModel:
                 target[:, idx[s]] = np.sqrt(p) * states[:, idx[m.successor(s, x)]]
         kraus[x] = target @ pinv
     return PureStateQuantumModel(
-        dim=dim, labels=m.states, states=states, alphabet=m.alphabet, kraus=kraus
+        dim=states.shape[0], labels=m.states, states=states, alphabet=m.alphabet, kraus=kraus
     )
 
 
 # -------------------------------------------------------- stationary objects
 
-def stationary_density(q: PureStateQuantumModel, pi) -> np.ndarray:
-    """Stationary density matrix: the pi-weighted mix of the state projectors."""
-    pi = validate_distribution(pi)
+def _label_weights(q: PureStateQuantumModel, pi=None) -> Distribution:
+    """``pi`` validated, or by default the stationary state of the classical read-off."""
+    if pi is None:
+        return stationary(classical_equivalent(q))
+    return validate_distribution(pi)
+
+
+def stationary_density(q: PureStateQuantumModel, pi=None) -> np.ndarray:
+    """Stationary density matrix: the pi-weighted mix of the state projectors.
+
+    ``pi`` defaults to the stationary state of the classical read-off.
+    """
+    pi = _label_weights(q, pi)
     if len(pi) != q.n:
         raise DimensionMismatchError(f"stationary length {len(pi)} != {q.n} labels")
     rho = (q.states * pi.probs) @ q.states.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    if abs(np.trace(rho).real - 1.0) > UNIT_TOL:
+    if not abs(np.trace(rho).real - 1.0) <= UNIT_TOL:
         raise InvalidModelError(f"density trace {np.trace(rho).real:.12g} != 1")
     return rho
 
@@ -256,7 +296,7 @@ def stationary_density(q: PureStateQuantumModel, pi) -> np.ndarray:
 def spectrum(rho: np.ndarray, pad_to_n: int) -> Distribution:
     """Eigenvalues of a density matrix, descending, zero-padded to ``pad_to_n``."""
     rho = np.asarray(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > UNIT_TOL:
+    if not np.max(np.abs(rho - rho.conj().T)) <= UNIT_TOL:
         raise NotHermitianError("density matrix is not Hermitian")
     vals = np.linalg.eigvalsh(rho)[::-1].copy()
     vals[(vals < 0) & (vals > -EIG_CLIP)] = 0.0
@@ -291,8 +331,7 @@ def classical_equivalent(q: PureStateQuantumModel) -> FinitePredictiveModel:
 
 def memory_spectrum(q: PureStateQuantumModel) -> Distribution:
     """Spectrum of the stationary density, padded to the number of labels."""
-    pi = stationary(classical_equivalent(q))
-    return spectrum(stationary_density(q, pi), q.n)
+    return spectrum(stationary_density(q), q.n)
 
 
 def vn_renyi(q: PureStateQuantumModel, alpha) -> float:
@@ -301,35 +340,13 @@ def vn_renyi(q: PureStateQuantumModel, alpha) -> float:
 
 
 def quantum_word_probability(q: PureStateQuantumModel, word, rho: np.ndarray | None = None) -> float:
-    """Probability of a word under the Kraus dynamics from the stationary state."""
-    symbols = list(word)
-    for x in symbols:
-        if x not in q.alphabet:
-            raise UnknownSymbolError(f"symbol {x!r} not in alphabet {q.alphabet}")
-    if rho is None:
-        rho = stationary_density(q, stationary(classical_equivalent(q)))
-    for x in symbols:
-        k_mat = q.kraus[x]
-        rho = k_mat @ rho @ k_mat.conj().T
-    return float(np.trace(rho).real)
+    """Probability of a word under the Kraus dynamics from ``rho`` (default stationary)."""
+    return q.linear_rep(rho).probability(word)
 
 
 def quantum_word_distribution(q: PureStateQuantumModel, length: int) -> dict:
     """All positive-probability words of exactly ``length`` symbols."""
-    rho0 = stationary_density(q, stationary(classical_equivalent(q)))
-    out: dict[tuple, float] = {}
-    stack = [((), rho0)]
-    while stack:
-        prefix, rho = stack.pop()
-        if len(prefix) == length:
-            out[prefix] = float(np.trace(rho).real)
-            continue
-        for x in q.alphabet:
-            k_mat = q.kraus[x]
-            nxt = k_mat @ rho @ k_mat.conj().T
-            if np.trace(nxt).real > 0.0:
-                stack.append((prefix + (x,), nxt))
-    return out
+    return q.linear_rep().words(length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,10 +368,7 @@ def strong_advantage_report(q: PureStateQuantumModel, pi=None, alphas=ALPHA_GRID
     source model's stationary state instead when the read-off is ambiguous
     (duplicate memory vectors after synthesizing a non-minimal input).
     """
-    if pi is None:
-        pi = stationary(classical_equivalent(q))
-    else:
-        pi = validate_distribution(pi)
+    pi = _label_weights(q, pi)
     lam = spectrum(stationary_density(q, pi), q.n)
     verdict = compare(lam, pi)
     rows = tuple((a, renyi_entropy(lam, a), renyi_entropy(pi, a)) for a in alphas)
@@ -372,15 +386,6 @@ def quantum_models_equal(a: PureStateQuantumModel, b: PureStateQuantumModel, tol
 
 # ---------------------------------------------------------------- file format
 
-def _parse_scalar(token: str, lineno: int) -> float:
-    try:
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelFormatError(f"bad number {token!r}", lineno) from exc
-
-
 def _parse_pairs(text: str, lineno: int) -> list[complex]:
     out = []
     rest = text.strip()
@@ -394,7 +399,7 @@ def _parse_pairs(text: str, lineno: int) -> list[complex]:
         parts = body.split(",")
         if len(parts) != 2:
             raise ModelFormatError(f"complex pair needs two entries: ({body})", lineno)
-        out.append(complex(_parse_scalar(parts[0], lineno), _parse_scalar(parts[1], lineno)))
+        out.append(complex(_parse_number(parts[0], lineno), _parse_number(parts[1], lineno)))
         rest = rest[close + 1 :].strip()
     return out
 
@@ -407,13 +412,7 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
     labels: list[str] = []
     state_cols: list[list[complex]] = []
     kraus: dict[str, np.ndarray] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        head = head.strip()
-        rest = rest.strip()
+    for lineno, head, rest in _directives(text):
         if head == "model":
             if kind is not None:
                 raise ModelFormatError("duplicate model line", lineno)

@@ -170,7 +170,8 @@ def analytic_residual(theta: float) -> float:
     return (2.0 + csc2) / (4.0 - csc2) - 1.0
 
 
-def completeness_residual(c: CandidateModel2D) -> CompletenessCheck:
+def frame_residual(c: CandidateModel2D) -> CompletenessCheck:
+    """Defects of the dual frame operator from the identity, see :class:`CompletenessCheck`."""
     defect = completeness_matrix(c) - np.eye(2)
     diag = float(np.max(np.abs(np.diag(defect))))
     off = float(abs(defect[0, 1]))
@@ -225,7 +226,7 @@ def uniqueness_sweep(grid_size: int = 10_000) -> SweepReport:
     residuals = np.empty_like(thetas)
     analytic = np.empty_like(thetas)
     for i, th in enumerate(thetas):
-        check = completeness_residual(candidate(float(th)))
+        check = frame_residual(candidate(float(th)))
         residuals[i] = check.residual
         analytic[i] = check.analytic
     flat_zone = math.sqrt(6.0 * ZERO_THRESHOLD) + spacing

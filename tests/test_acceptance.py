@@ -37,7 +37,7 @@ from machina.quantum import (
     serialize_quantum_model,
     vn_renyi,
 )
-from machina.qubit_family import candidate, completeness_residual, uniqueness_sweep
+from machina.qubit_family import candidate, frame_residual, uniqueness_sweep
 from machina.random_models import random_epsilon_machine, random_refinement
 
 MAJOR_OR_EQ = (MajorizationVerdict.STRICTLY_MAJORIZES, MajorizationVerdict.EQUIVALENT)
@@ -105,7 +105,7 @@ def test_criterion_06_residual_sweep():
     assert report.passed
     for zero, target in zip(sorted(report.zero_thetas), (-math.pi, math.pi)):
         assert abs(zero - target) <= report.spacing
-    at_two_thirds = completeness_residual(candidate(2 * math.pi / 3)).residual
+    at_two_thirds = frame_residual(candidate(2 * math.pi / 3)).residual
     assert at_two_thirds == pytest.approx(0.25, abs=1e-6)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -1,4 +1,6 @@
 
+from pathlib import Path
+
 import pytest
 
 from machina.cli import main
@@ -142,6 +144,28 @@ def test_csv_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "lorenz", "q3", "d3", "--format", "csv")
     _, second, _ = run(capsys, "lorenz", "q3", "d3", "--format", "csv")
     assert first == second
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = {
+    "entropy_mbw4.csv": ["entropy", "mbw4", "--format", "csv"],
+    "entropy_q3.csv": ["entropy", "q3", "--format", "csv"],
+    "lorenz_q3_d3.csv": ["lorenz", "q3", "d3", "--format", "csv"],
+    "lorenz_mbw4_q4.csv": ["lorenz", "mbw4", "q4", "--format", "csv"],
+    "wordprob_mbw3_4.csv": ["wordprob", "mbw3", "--max-len", "4", "--format", "csv"],
+    "wordprob_even_odd_6.csv": ["wordprob", "even_odd:0.5", "--max-len", "6", "--format", "csv"],
+    "export_mbw4.hmm": ["export", "--process", "mbw4"],
+    "epsilonize_even_odd_split.txt": ["epsilonize", "even_odd_split:0.5"],
+    "counterexample_150.csv": ["counterexample", "--grid", "150", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_matches_golden_bytes(name, capsys):
+    """stdout is byte-for-byte what tests/golden recorded; regenerate only on purpose."""
+    code, out, _ = run(capsys, *GOLDEN_COMMANDS[name])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 # --------------------------------------------------------------- epsilonize

@@ -166,6 +166,11 @@ def test_word_probability_unknown_symbol():
         word_probability(biased_coin(0.6), "12")
 
 
+def test_word_distribution_rejects_negative_length():
+    with pytest.raises(ValueError):
+        word_distribution(biased_coin(0.6), -1)
+
+
 @pytest.mark.parametrize("model", [mbw3(), mbw4(), even_odd(0.5), biased_coin(0.6)])
 def test_word_measure_sums_to_one(model):
     for length in range(1, 7):

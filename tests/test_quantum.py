@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -252,6 +253,42 @@ def test_quantum_empty_word():
 
 def test_quantum_word_matches_classical_value():
     assert quantum_word_probability(q3(), "AA") == pytest.approx(2 / 9, abs=1e-9)
+
+
+def _ring_qmachine(n: int = 40):
+    """Quantum model of an n-state minimal ring machine; its dimension is n."""
+    from machina.hmm import FinitePredictiveModel
+
+    states = tuple(f"s{i}" for i in range(n))
+    trans = {}
+    for i, s in enumerate(states):
+        p = 0.1 + 0.8 * i / (n - 1)
+        trans[(s, "0")] = (p, states[(i + 1) % n])
+        trans[(s, "1")] = (1 - p, states[(7 * i + 1) % n])
+    q = build_qmachine(FinitePredictiveModel(states, ("0", "1"), trans))
+    assert q.dim == n
+    return q
+
+
+@pytest.mark.parametrize("factory", [d3, d4, q3, q4, _ring_qmachine])
+def test_word_probabilities_follow_kraus_evolution(factory):
+    # reference: rho -> K rho K^dag one symbol at a time, then the trace
+    q = factory()
+    rho0 = stationary_density(q)
+    expected = {}
+    for length in (1, 2, 3):
+        for word in itertools.product(q.alphabet, repeat=length):
+            rho = rho0
+            for x in word:
+                rho = q.kraus[x] @ rho @ q.kraus[x].conj().T
+            expected[word] = np.trace(rho).real
+            assert quantum_word_probability(q, word) == expected[word]
+    # enumeration keeps a word when it and all of its prefixes have positive probability
+    kept = {
+        w: p for w, p in expected.items()
+        if len(w) == 3 and all(expected[w[:i]] > 0.0 for i in (1, 2, 3))
+    }
+    assert quantum_word_distribution(q, 3) == kept
 
 
 @pytest.mark.parametrize("factory", [d3, d4, q3, q4])

@@ -17,8 +17,8 @@ from machina.qubit_family import (
     analytic_residual,
     as_quantum_model,
     candidate,
-    completeness_residual,
     counterexample_report,
+    frame_residual,
     phase_constraint_residual,
     sweep_csv,
     transition_magnitudes,
@@ -92,7 +92,7 @@ def test_phase_constraint_cancels(theta):
 # ---------------------------------------------------------------- residuals
 
 def test_residual_vanishes_only_at_endpoint():
-    check = completeness_residual(candidate(math.pi))
+    check = frame_residual(candidate(math.pi))
     assert check.residual < 1e-12
     assert check.analytic < 1e-12
     assert check.operator < 1e-12
@@ -100,20 +100,20 @@ def test_residual_vanishes_only_at_endpoint():
 
 def test_residual_value_at_two_thirds_pi():
     # csc^2(pi/3) = 4/3, so the closed form gives (10/3)/(8/3) - 1 = 1/4
-    check = completeness_residual(candidate(2 * math.pi / 3))
+    check = frame_residual(candidate(2 * math.pi / 3))
     assert check.residual == pytest.approx(0.25, abs=1e-9)
     assert check.analytic == pytest.approx(0.25, abs=1e-12)
 
 
 def test_residual_matches_closed_form_on_grid():
     for theta in _grid(1000)[:-1]:
-        check = completeness_residual(candidate(float(theta)))
+        check = frame_residual(candidate(float(theta)))
         assert abs(check.residual - check.analytic) < 1e-9
 
 
 def test_operator_residual_sign_of_zero_agrees():
     for theta in _grid(500):
-        check = completeness_residual(candidate(float(theta)))
+        check = frame_residual(candidate(float(theta)))
         assert (check.operator < 1e-9) == (check.analytic < 1e-9)
 
 
@@ -124,8 +124,8 @@ def test_residual_monotone_decreasing_toward_endpoint():
 
 def test_negative_branch_mirrors_positive():
     for theta in (1.5, 2.0, 3.0):
-        pos = completeness_residual(candidate(theta))
-        neg = completeness_residual(candidate(-theta))
+        pos = frame_residual(candidate(theta))
+        neg = frame_residual(candidate(-theta))
         assert pos.residual == pytest.approx(neg.residual, abs=1e-12)
 
 
@@ -181,7 +181,7 @@ def test_sweep_residuals_positive_away_from_endpoints():
 def test_spurious_interior_zero_is_detected(monkeypatch):
     import machina.qubit_family as qf
 
-    real = qf.completeness_residual
+    real = qf.frame_residual
 
     def leaky(c):
         check = real(c)
@@ -194,7 +194,7 @@ def test_spurious_interior_zero_is_detected(monkeypatch):
             )
         return check
 
-    monkeypatch.setattr(qf, "completeness_residual", leaky)
+    monkeypatch.setattr(qf, "frame_residual", leaky)
     with pytest.raises(UniquenessViolatedError):
         qf.uniqueness_sweep(500)
 
