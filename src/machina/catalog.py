@@ -10,6 +10,7 @@ weak-minimality analysis.  Quantum entries: the synthesized overlap models
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -151,13 +152,15 @@ def d4() -> PureStateQuantumModel:
     return _rank_one_model(("A", "B", "C", "D"), states, r)
 
 
+@cache
 def q3() -> PureStateQuantumModel:
-    """Overlap-synthesized quantum model of the three-state chain."""
+    """Overlap-synthesized quantum model of the three-state chain (built once)."""
     return build_qmachine(mbw3())
 
 
+@cache
 def q4() -> PureStateQuantumModel:
-    """Overlap-synthesized quantum model of the four-state chain."""
+    """Overlap-synthesized quantum model of the four-state chain (built once)."""
     return build_qmachine(mbw4())
 
 

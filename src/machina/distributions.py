@@ -161,10 +161,6 @@ class LorenzCurve:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def points(self):
-        return list(zip(self.k.tolist(), self.cumulative.tolist()))
-
 
 def lorenz_curve(d) -> LorenzCurve:
     d = validate_distribution(d)

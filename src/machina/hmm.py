@@ -7,6 +7,13 @@ layout: the transition table maps (state, symbol) to a single successor.
 The summed transition matrix must be row-stochastic and its positive part
 strongly connected.
 
+Alongside the dict, each model carries one index view of the same table,
+built once at construction: the read-only n x k arrays ``probs`` (emission
+probability of symbol j in state i) and ``succ`` (the successor's index, -1
+where there is no transition).  Symbol matrices, partition refinement and
+the quantum overlap recursion read these arrays rather than re-deriving the
+state numbering from the dict.
+
 Word probabilities go through a linear representation (start, ops, final):
 the probability of x1..xk is final(start @ ops[x1] @ ... @ ops[xk]).  An
 HMM's representation is its stationary row vector (or a one-hot start
@@ -20,7 +27,7 @@ words for both model kinds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -57,6 +64,10 @@ class FinitePredictiveModel:
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     trans: dict[tuple[str, str], tuple[float, str]]
+    #: probs[i, j] = P(alphabet[j] | states[i]); 0 where there is no transition
+    probs: np.ndarray = field(init=False, repr=False)
+    #: succ[i, j] = index of the successor of states[i] on alphabet[j], or -1
+    succ: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -65,25 +76,35 @@ class FinitePredictiveModel:
             raise ModelFormatError("states must be nonempty and unique")
         if not alphabet or len(set(alphabet)) != len(alphabet):
             raise ModelFormatError("alphabet must be nonempty and unique")
+        index = {s: i for i, s in enumerate(states)}
+        column = {x: j for j, x in enumerate(alphabet)}
         cleaned: dict[tuple[str, str], tuple[float, str]] = {}
-        rows = dict.fromkeys(states, 0.0)  # emitted probability per state
-        for (s, x), (p, succ) in self.trans.items():
-            if s not in rows:
+        probs = np.zeros((len(states), len(alphabet)))
+        succ = np.full((len(states), len(alphabet)), -1)
+        rows = [0.0] * len(states)  # emitted probability per state
+        for (s, x), (p, nxt) in self.trans.items():
+            if s not in index:
                 raise UnknownStateError(f"transition from undeclared state {s!r}")
-            if succ not in rows:
-                raise UnknownStateError(f"transition into undeclared state {succ!r}")
-            if x not in alphabet:
+            if nxt not in index:
+                raise UnknownStateError(f"transition into undeclared state {nxt!r}")
+            if x not in column:
                 raise UnknownSymbolError(f"transition on undeclared symbol {x!r}")
             p = float(p)
             if not (-POSITIVE_TOL <= p <= 1.0 + ROW_SUM_TOL):
                 raise NotStochasticError(f"probability {p:.6g} outside [0, 1]")
             p = max(p, 0.0)
-            cleaned[(s, x)] = (p, succ)
-            rows[s] += p
+            cleaned[(s, x)] = (p, nxt)
+            i, j = index[s], column[x]
+            probs[i, j], succ[i, j] = p, index[nxt]
+            rows[i] += p
+        probs.setflags(write=False)
+        succ.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "trans", cleaned)
-        for s, row in rows.items():
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "succ", succ)
+        for s, row in zip(states, rows):
             if not abs(row - 1.0) <= ROW_SUM_TOL:
                 raise NotStochasticError(f"state {s!r} emits total probability {row:.12g}")
         self._check_irreducible()
@@ -122,9 +143,6 @@ class FinitePredictiveModel:
             return None
         return entry[1]
 
-    def emissions(self, state: str) -> dict[str, float]:
-        return {x: self.prob(state, x) for x in self.alphabet if (state, x) in self.trans}
-
     def state_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.states)}
 
@@ -132,11 +150,10 @@ class FinitePredictiveModel:
         """Transition matrix for one symbol: T[i, j] = P(symbol | i) if j follows."""
         if symbol not in self.alphabet:
             raise UnknownSymbolError(f"symbol {symbol!r} not in alphabet")
-        idx = self.state_index()
+        j = self.alphabet.index(symbol)
+        rows = np.flatnonzero(self.succ[:, j] >= 0)
         mat = np.zeros((len(self.states), len(self.states)))
-        for (s, x), (p, succ) in self.trans.items():
-            if x == symbol:
-                mat[idx[s], idx[succ]] = p
+        mat[rows, self.succ[rows, j]] = self.probs[rows, j]
         return mat
 
     def linear_rep(self, start: str | None = None) -> LinearRep:

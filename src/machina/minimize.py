@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import (
     ALPHA_GRID,
     Distribution,
@@ -37,66 +39,44 @@ class StatePartition:
         return all(len(block) == 1 for block in self.blocks)
 
 
-def _emission_vector(m: FinitePredictiveModel, state: str) -> tuple[float, ...]:
-    return tuple(m.prob(state, x) for x in m.alphabet)
+def _first_appearance(keys: np.ndarray) -> np.ndarray:
+    """Dense labels for the rows of ``keys``, numbered in order of first appearance."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inverse.reshape(-1)]
 
 
-def _group_by_emissions(m: FinitePredictiveModel, tol: float) -> dict[str, int]:
-    # union-find over pairwise closeness; fine at desk scale
-    states = list(m.states)
-    sigs = {s: _emission_vector(m, s) for s in states}
-    parent = {s: s for s in states}
-
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    for i, a in enumerate(states):
-        for b in states[i + 1 :]:
-            if all(abs(pa - pb) <= tol for pa, pb in zip(sigs[a], sigs[b])):
-                parent[find(a)] = find(b)
-    roots: dict[str, int] = {}
-    labels: dict[str, int] = {}
-    for s in states:
-        r = find(s)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels[s] = roots[r]
-    return labels
+def _group_by_emissions(probs: np.ndarray, tol: float) -> np.ndarray:
+    # union of every pair of rows within tol entrywise; a class is labeled by
+    # its smallest member while the unions run
+    labels = np.arange(len(probs))
+    for row in probs:
+        joined = labels[np.all(np.abs(probs - row) <= tol, axis=1)]
+        labels[np.isin(labels, joined)] = joined.min()
+    return _first_appearance(labels)
 
 
 def refine_partition(m: FinitePredictiveModel, tol: float = EQUIV_TOL) -> StatePartition:
-    """Coarsest partition stable under emissions and per-symbol successors."""
-    labels = _group_by_emissions(m, tol)
+    """Coarsest partition stable under emissions and per-symbol successors.
+
+    Blocks come out in order of their first member in ``m.states``.
+    """
+    labels = _group_by_emissions(m.probs, tol)
+    live = m.probs > POSITIVE_TOL
     for _ in range(len(m.states)):
-        signature = {}
-        for s in m.states:
-            succs = tuple(
-                (x, labels[m.successor(s, x)])
-                for x in m.alphabet
-                if m.prob(s, x) > POSITIVE_TOL
-            )
-            signature[s] = (labels[s], succs)
-        relabel: dict[tuple, int] = {}
-        new_labels = {}
-        for s in m.states:
-            sig = signature[s]
-            if sig not in relabel:
-                relabel[sig] = len(relabel)
-            new_labels[s] = relabel[sig]
-        if new_labels == labels:
+        # where live is False, succ may be -1; the label read there is masked
+        signature = np.column_stack([labels, np.where(live, labels[m.succ], -1)])
+        new_labels = _first_appearance(signature)
+        if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    n_blocks = max(labels.values()) + 1
-    members: list[set[str]] = [set() for _ in range(n_blocks)]
-    for s in m.states:
-        members[labels[s]].add(s)
-    order = sorted(range(n_blocks), key=lambda b: min(m.states.index(s) for s in members[b]))
-    blocks = tuple(frozenset(members[b]) for b in order)
-    block_of = {s: i for i, block in enumerate(blocks) for s in block}
-    return StatePartition(blocks=blocks, block_of=block_of)
+    members: list[list[str]] = [[] for _ in range(labels.max() + 1)]
+    for s, b in zip(m.states, labels.tolist()):
+        members[b].append(s)
+    return StatePartition(
+        blocks=tuple(map(frozenset, members)), block_of=dict(zip(m.states, labels.tolist()))
+    )
 
 
 def is_epsilon_machine(m: FinitePredictiveModel, tol: float = EQUIV_TOL) -> bool:
@@ -111,7 +91,10 @@ def merge(m: FinitePredictiveModel, tol: float = EQUIV_TOL) -> FinitePredictiveM
     in first-appearance order, so the output is deterministic and merging is
     idempotent.
     """
-    part = refine_partition(m, tol)
+    return _quotient(m, refine_partition(m, tol))
+
+
+def _quotient(m: FinitePredictiveModel, part: StatePartition) -> FinitePredictiveModel:
     names = part.block_names()
     trans: dict[tuple[str, str], tuple[float, str]] = {}
     for block, name in zip(part.blocks, names):
@@ -147,7 +130,7 @@ def strong_minimality_report(m: FinitePredictiveModel, alphas=ALPHA_GRID) -> Min
     model's, hence never exceed it in any Renyi memory.
     """
     part = refine_partition(m)
-    machine = merge(m)
+    machine = _quotient(m, part)
     pi_machine = stationary(machine)
     pi_model = stationary(m)
     verdict = compare(pi_machine, pi_model)

@@ -124,9 +124,6 @@ class PureStateQuantumModel:
     def n(self) -> int:
         return len(self.labels)
 
-    def state(self, label: str) -> np.ndarray:
-        return self.states[:, self.labels.index(label)]
-
     def linear_rep(self, rho: np.ndarray | None = None) -> LinearRep:
         """Word-probability view: rho (default stationary), one Kraus map per symbol, the trace."""
         if rho is None:
@@ -193,21 +190,14 @@ def gram_fixed_point(
             stacklevel=2,
         )
     n = len(m.states)
-    idx = m.state_index()
-    weights = []
-    succ_idx = []
-    for x in m.alphabet:
-        w = np.array([np.sqrt(m.prob(s, x)) for s in m.states])
-        mapped = np.array(
-            [idx[m.successor(s, x)] if m.successor(s, x) is not None else 0 for s in m.states]
-        )
-        weights.append(np.outer(w, w))
-        succ_idx.append(mapped)
+    roots = np.sqrt(m.probs)
+    mapped = np.where(m.probs > POSITIVE_TOL, m.succ, 0)
+    terms = [(np.outer(w, w), np.ix_(col, col)) for w, col in zip(roots.T, mapped.T)]
     gram = np.eye(n) if init is None else np.array(init, dtype=float)
     for iteration in range(1, max_iter + 1):
         nxt = np.zeros_like(gram)
-        for w_outer, mapped in zip(weights, succ_idx):
-            nxt += w_outer * gram[np.ix_(mapped, mapped)]
+        for w_outer, pairs in terms:
+            nxt += w_outer * gram[pairs]
         np.fill_diagonal(nxt, 1.0)
         delta = np.max(np.abs(nxt - gram))
         gram = nxt
@@ -255,14 +245,11 @@ def build_qmachine(m: FinitePredictiveModel) -> PureStateQuantumModel:
     through the overlap eigendecomposition (rank tolerance 1e-10).
     """
     states, pinv = _eigen_embed(gram_fixed_point(m), RANK_TOL)
-    idx = m.state_index()
     kraus = {}
-    for x in m.alphabet:
+    for j, x in enumerate(m.alphabet):
+        live = np.flatnonzero(m.probs[:, j] > POSITIVE_TOL)
         target = np.zeros_like(states)
-        for s in m.states:
-            p = m.prob(s, x)
-            if p > POSITIVE_TOL:
-                target[:, idx[s]] = np.sqrt(p) * states[:, idx[m.successor(s, x)]]
+        target[:, live] = np.sqrt(m.probs[live, j]) * states[:, m.succ[live, j]]
         kraus[x] = target @ pinv
     return PureStateQuantumModel(
         dim=states.shape[0], labels=m.states, states=states, alphabet=m.alphabet, kraus=kraus

@@ -30,14 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import d3, q3
-from .distributions import MajorizationVerdict, compare
+from .distributions import MajorizationVerdict, compare, renyi_entropy
 from .errors import (
     MachinaError,
     SingularThetaError,
     UniquenessViolatedError,
     UnphysicalThetaError,
 )
-from .quantum import PureStateQuantumModel, memory_spectrum, renyi_entropy
+from .quantum import PureStateQuantumModel, memory_spectrum
 
 PHYSICAL_MIN = math.pi / 3.0
 SINGULAR_MARGIN = 1e-6

@@ -9,35 +9,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotIrreducibleError
 from .hmm import POSITIVE_TOL, FinitePredictiveModel, split_state
 from .minimize import merge
 
-_ALPHABET_POOL = ("0", "1", "2")
-_STATE_POOL = tuple("SABCDEFGHJK")
-
 
 def random_unifilar_model(
-    rng: np.random.Generator, n_states: int, n_symbols: int, max_tries: int = 200
+    rng: np.random.Generator, n_states: int, n_symbols: int
 ) -> FinitePredictiveModel:
-    """Random irreducible unifilar model with well-separated probabilities."""
-    states = _STATE_POOL[:n_states]
-    alphabet = _ALPHABET_POOL[:n_symbols]
-    for _ in range(max_tries):
-        trans = {}
-        for s in states:
-            support = 1 + int(rng.integers(n_symbols))
-            symbols = rng.choice(n_symbols, size=support, replace=False)
-            probs = rng.dirichlet(np.ones(support))
-            probs = (probs + 0.15) / (1.0 + 0.15 * support)  # keep entries off zero
-            for x_i, p in zip(symbols, probs):
-                succ = states[int(rng.integers(n_states))]
-                trans[(s, alphabet[int(x_i)])] = (float(p), succ)
-        try:
-            return FinitePredictiveModel(states, alphabet, trans)
-        except NotIrreducibleError:
-            continue
-    raise NotIrreducibleError(f"no irreducible draw in {max_tries} tries")
+    """Random irreducible unifilar model with well-separated probabilities.
+
+    States are named ``s0, s1, ...`` and symbols ``0, 1, ...``.  Each
+    state's first drawn symbol leads to the next state on a random ring
+    through all states, so every draw is irreducible at any size.
+    """
+    states = tuple(f"s{i}" for i in range(n_states))
+    alphabet = tuple(str(j) for j in range(n_symbols))
+    ring = rng.permutation(n_states)
+    ring_next = np.empty(n_states, dtype=int)
+    ring_next[ring] = np.roll(ring, -1)
+    trans = {}
+    for i, s in enumerate(states):
+        support = 1 + int(rng.integers(n_symbols))
+        symbols = rng.choice(n_symbols, size=support, replace=False)
+        probs = rng.dirichlet(np.ones(support))
+        probs = (probs + 0.15) / (1.0 + 0.15 * support)  # keep entries off zero
+        succs = [ring_next[i], *rng.integers(n_states, size=support - 1)]
+        for x_i, p, succ in zip(symbols, probs, succs):
+            trans[(s, alphabet[int(x_i)])] = (float(p), states[int(succ)])
+    return FinitePredictiveModel(states, alphabet, trans)
 
 
 def random_epsilon_machine(

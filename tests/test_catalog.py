@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 
+from machina import catalog, quantum
+from machina.cli import main
 from machina.catalog import (
     biased_coin,
     biased_coin_split,
@@ -219,3 +221,18 @@ def test_catalog_names_are_sorted():
     names = catalog_names()
     assert list(names) == sorted(names)
     assert "mbw3" in names and "q4" in names
+
+
+def test_overlap_models_are_built_once_per_process(monkeypatch, capsys):
+    calls = []
+    solve = quantum.gram_fixed_point
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "gram_fixed_point", counting)
+    catalog.q3.cache_clear()
+    assert main(["lorenz", "q3", "q3"]) == 0
+    assert len(calls) == 1
+    assert get_process("q3") is get_process("q3")

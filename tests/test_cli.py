@@ -155,6 +155,7 @@ GOLDEN_COMMANDS = {
     "wordprob_mbw3_4.csv": ["wordprob", "mbw3", "--max-len", "4", "--format", "csv"],
     "wordprob_even_odd_6.csv": ["wordprob", "even_odd:0.5", "--max-len", "6", "--format", "csv"],
     "export_mbw4.hmm": ["export", "--process", "mbw4"],
+    "qmachine_mbw3.txt": ["qmachine", "--process", "mbw3"],
     "epsilonize_even_odd_split.txt": ["epsilonize", "even_odd_split:0.5"],
     "counterexample_150.csv": ["counterexample", "--grid", "150", "--format", "csv"],
 }

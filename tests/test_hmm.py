@@ -250,6 +250,31 @@ def test_split_preserves_stationary_mass():
     assert mass_copies == pytest.approx(mass_c, abs=1e-12)
 
 
+def test_index_view_matches_transition_table():
+    # a sub-tolerance edge and an explicit zero still appear in the arrays
+    trans = {
+        ("A", "0"): (1.0 - 1e-13, "B"),
+        ("A", "1"): (1e-13, "A"),
+        ("B", "0"): (1.0, "A"),
+        ("B", "1"): (0.0, "B"),
+    }
+    for m in (FinitePredictiveModel(("A", "B"), ("0", "1"), trans), even_odd_split(0.5), mbw4()):
+        idx = {s: i for i, s in enumerate(m.states)}
+        for i, s in enumerate(m.states):
+            for j, x in enumerate(m.alphabet):
+                p, succ = m.trans.get((s, x), (0.0, None))
+                assert m.probs[i, j] == p
+                assert m.succ[i, j] == (-1 if succ is None else idx[succ])
+        for x in m.alphabet:
+            ref = np.zeros((len(m.states), len(m.states)))
+            for (s, y), (p, succ) in m.trans.items():
+                if y == x:
+                    ref[idx[s], idx[succ]] = p
+            assert np.array_equal(m.symbol_matrix(x), ref)
+        with pytest.raises(ValueError):
+            m.probs[0, 0] = 0.5
+
+
 # ---------------------------------------------------------------- validation
 
 def test_model_requires_row_stochastic():
