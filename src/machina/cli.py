@@ -4,8 +4,8 @@ Subcommands: validate, entropy, lorenz, compare, epsilonize, qmachine,
 counterexample, wordprob, export.  Exit codes: 0 success, 1 a check
 failed, 2 usage or parse error.  ``--format csv`` output is prose-free and
 byte-stable across runs; nothing is written to disk unless ``--out`` is
-given.  The MACHINA_TOL environment variable overrides the default 1e-9
-majorization tolerance.
+given.  The MACHINA_TOL environment variable overrides the default
+majorization tolerance, ``tolerances.EQUAL_TOL`` (1e-9).
 """
 
 from __future__ import annotations

@@ -23,26 +23,17 @@ from .errors import (
     NotNormalizedError,
     PaddingError,
 )
+from .tolerances import EQUAL_TOL, LANDING_TOL, ZERO_TOL
 
-#: default tolerance on prefix-sum comparisons
-DEFAULT_TOL = 1e-9
-#: entries below this count as zero when measuring support
-SUPPORT_TOL = 1e-12
-#: negative entries above this magnitude are rejected instead of clipped
-NEGATIVE_CLIP = 1e-12
-#: |sum - 1| allowed for a valid distribution
-NORMALIZATION_TOL = 1e-9
 #: alpha values used by every entropy table in the package
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, math.inf)
 
-_CHAIN_TOL = 1e-12
-
 
 def comparison_tolerance() -> float:
-    """Active prefix-sum tolerance; the MACHINA_TOL env var overrides 1e-9."""
+    """Active prefix-sum tolerance; the MACHINA_TOL env var overrides ``EQUAL_TOL``."""
     raw = os.environ.get("MACHINA_TOL")
     if raw is None:
-        return DEFAULT_TOL
+        return EQUAL_TOL
     tol = float(raw)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"MACHINA_TOL must be a finite nonnegative number, got {raw!r}")
@@ -61,7 +52,7 @@ class Distribution:
             raise NotNormalizedError("empty probability vector")
         if not np.all(arr >= 0):
             raise NegativeEntryError(f"entry {arr.min():g} is not a nonnegative number")
-        if not abs(arr.sum() - 1.0) <= NORMALIZATION_TOL:
+        if not abs(arr.sum() - 1.0) <= EQUAL_TOL:
             raise NotNormalizedError(f"entries sum to {arr.sum():.12g}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -86,15 +77,15 @@ class Distribution:
 def validate_distribution(raw) -> Distribution:
     """Build a :class:`Distribution`, clipping sub-tolerance negative noise.
 
-    Entries in [-1e-12, 0) are set to 0; anything more negative raises
-    :class:`NegativeEntryError`, and a total off unity by more than 1e-9
-    raises :class:`NotNormalizedError`.
+    Entries in [-ZERO_TOL, 0) are set to 0; anything more negative raises
+    :class:`NegativeEntryError`, and a total off unity by more than
+    ``EQUAL_TOL`` raises :class:`NotNormalizedError`.
     """
     if isinstance(raw, Distribution):
         return raw
     arr = np.array(raw, dtype=float).reshape(-1)
-    if not np.all(arr >= -NEGATIVE_CLIP):
-        raise NegativeEntryError(f"entry {arr.min():.6g} below -{NEGATIVE_CLIP:g}")
+    if not np.all(arr >= -ZERO_TOL):
+        raise NegativeEntryError(f"entry {arr.min():.6g} below -{ZERO_TOL:g}")
     arr[arr < 0] = 0.0
     return Distribution(arr)
 
@@ -124,17 +115,16 @@ def _padded_sorted_pair(p: Distribution, q: Distribution):
     return pad_to(p, n).sorted_desc(), pad_to(q, n).sorted_desc()
 
 
-def compare(p, q, tol: float | None = None) -> MajorizationVerdict:
+def compare(p, q) -> MajorizationVerdict:
     """Four-way majorization verdict on two distributions.
 
-    Ties within ``tol`` count as "greater or equal" for both directions, so
-    near-equal vectors report Equivalent rather than flapping between the
-    strict verdicts.
+    Ties within :func:`comparison_tolerance` count as "greater or equal" for
+    both directions, so near-equal vectors report Equivalent rather than
+    flapping between the strict verdicts.
     """
     p = validate_distribution(p)
     q = validate_distribution(q)
-    if tol is None:
-        tol = comparison_tolerance()
+    tol = comparison_tolerance()
     a, b = _padded_sorted_pair(p, q)
     ca, cb = np.cumsum(a), np.cumsum(b)
     p_dominates = bool(np.all(ca >= cb - tol))
@@ -168,7 +158,7 @@ def lorenz_curve(d) -> LorenzCurve:
     return LorenzCurve(k=np.arange(len(d) + 1), cumulative=cum)
 
 
-def lorenz_dominates(p, q, tol: float | None = None) -> bool:
+def lorenz_dominates(p, q) -> bool:
     """True iff every Lorenz point of ``p`` sits at or above that of ``q``.
 
     Independent route to the prefix-sum criterion, kept separate so the two
@@ -176,12 +166,10 @@ def lorenz_dominates(p, q, tol: float | None = None) -> bool:
     """
     p = validate_distribution(p)
     q = validate_distribution(q)
-    if tol is None:
-        tol = comparison_tolerance()
     n = max(len(p), len(q))
     cp = lorenz_curve(pad_to(p, n)).cumulative
     cq = lorenz_curve(pad_to(q, n)).cumulative
-    return bool(np.all(cp >= cq - tol))
+    return bool(np.all(cp >= cq - comparison_tolerance()))
 
 
 def lorenz_csv(curve: LorenzCurve) -> str:
@@ -196,7 +184,7 @@ def renyi_entropy(d, alpha) -> float:
     """Order-``alpha`` Renyi entropy in bits.
 
     alpha = 1 is the Shannon limit (0 log 0 taken as 0), alpha = 0 counts the
-    support (entries above 1e-12), alpha = inf is -log2 of the largest entry.
+    support (entries above ``ZERO_TOL``), alpha = inf is -log2 of the largest entry.
     Zero entries never enter the power sum, which keeps the value invariant
     under zero-padding for every alpha.
     """
@@ -204,7 +192,7 @@ def renyi_entropy(d, alpha) -> float:
     alpha = float(alpha)
     if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    p = d.probs[d.probs > SUPPORT_TOL]
+    p = d.probs[d.probs > ZERO_TOL]
     if alpha == 0.0:
         return math.log2(p.size)
     if math.isinf(alpha):
@@ -249,7 +237,7 @@ def apply_transfer(d, op: TransferOp) -> Distribution:
     return Distribution(out)
 
 
-def transfer_chain(p, q, tol: float | None = None) -> list[TransferOp]:
+def transfer_chain(p, q) -> list[TransferOp]:
     """Constructive certificate that ``p`` majorizes ``q``.
 
     Classic greedy T-transform construction on the sorted vectors: repeatedly
@@ -260,7 +248,7 @@ def transfer_chain(p, q, tol: float | None = None) -> list[TransferOp]:
     """
     p = validate_distribution(p)
     q = validate_distribution(q)
-    verdict = compare(p, q, tol)
+    verdict = compare(p, q)
     if verdict not in (
         MajorizationVerdict.STRICTLY_MAJORIZES,
         MajorizationVerdict.EQUIVALENT,
@@ -271,11 +259,11 @@ def transfer_chain(p, q, tol: float | None = None) -> list[TransferOp]:
     ops: list[TransferOp] = []
     for _ in range(max(len(x) - 1, 0)):
         diff = x - y
-        over = np.flatnonzero(diff > _CHAIN_TOL)
+        over = np.flatnonzero(diff > ZERO_TOL)
         if over.size == 0:
             break
         j = int(over[-1])
-        under = np.flatnonzero(diff < -_CHAIN_TOL)
+        under = np.flatnonzero(diff < -ZERO_TOL)
         under = under[under > j]
         if under.size == 0:
             break
@@ -284,7 +272,7 @@ def transfer_chain(p, q, tol: float | None = None) -> list[TransferOp]:
         x[j] -= eps
         x[k] += eps
         ops.append(TransferOp(j, k, eps))
-    if np.max(np.abs(x - y)) > 1e-8:
+    if np.max(np.abs(x - y)) > LANDING_TOL:
         raise NotComparableError("transfer construction failed to land on target")
     return ops
 

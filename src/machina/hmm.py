@@ -27,9 +27,10 @@ words for both model kinds.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,11 +46,8 @@ from .errors import (
     UnknownSymbolError,
     UnreachableCopyError,
 )
+from .tolerances import EIG_TOL, EQUAL_TOL, STEP_TOL, ZERO_TOL
 
-#: probabilities below this do not create graph edges
-POSITIVE_TOL = 1e-12
-ROW_SUM_TOL = 1e-9
-STATIONARY_RESIDUAL = 1e-10
 _POWER_ITER_CAP = 10**6
 
 
@@ -57,13 +55,13 @@ _POWER_ITER_CAP = 10**6
 class FinitePredictiveModel:
     """Irreducible unifilar HMM over a finite alphabet.
 
-    ``trans`` maps (state, symbol) to (probability, successor state).
-    Instances are validated on construction and treated as immutable.
+    ``trans`` maps (state, symbol) to (probability, successor state); it is
+    stored read-only.  Instances are validated on construction and immutable.
     """
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
-    trans: dict[tuple[str, str], tuple[float, str]]
+    trans: Mapping[tuple[str, str], tuple[float, str]]
     #: probs[i, j] = P(alphabet[j] | states[i]); 0 where there is no transition
     probs: np.ndarray = field(init=False, repr=False)
     #: succ[i, j] = index of the successor of states[i] on alphabet[j], or -1
@@ -90,7 +88,7 @@ class FinitePredictiveModel:
             if x not in column:
                 raise UnknownSymbolError(f"transition on undeclared symbol {x!r}")
             p = float(p)
-            if not (-POSITIVE_TOL <= p <= 1.0 + ROW_SUM_TOL):
+            if not (-ZERO_TOL <= p <= 1.0 + EQUAL_TOL):
                 raise NotStochasticError(f"probability {p:.6g} outside [0, 1]")
             p = max(p, 0.0)
             cleaned[(s, x)] = (p, nxt)
@@ -101,19 +99,23 @@ class FinitePredictiveModel:
         succ.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "trans", cleaned)
+        object.__setattr__(self, "trans", MappingProxyType(cleaned))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "succ", succ)
         for s, row in zip(states, rows):
-            if not abs(row - 1.0) <= ROW_SUM_TOL:
+            if not abs(row - 1.0) <= EQUAL_TOL:
                 raise NotStochasticError(f"state {s!r} emits total probability {row:.12g}")
         self._check_irreducible()
+
+    def __reduce__(self):
+        # a read-only table does not pickle; rebuild (and revalidate) from a copy
+        return FinitePredictiveModel, (self.states, self.alphabet, dict(self.trans))
 
     def _check_irreducible(self):
         fwd = {s: set() for s in self.states}
         bwd = {s: set() for s in self.states}
         for (s, _), (p, succ) in self.trans.items():
-            if p > POSITIVE_TOL:
+            if p > ZERO_TOL:
                 fwd[s].add(succ)
                 bwd[succ].add(s)
         root = self.states[0]
@@ -139,7 +141,7 @@ class FinitePredictiveModel:
 
     def successor(self, state: str, symbol: str) -> str | None:
         entry = self.trans.get((state, symbol))
-        if entry is None or entry[0] <= POSITIVE_TOL:
+        if entry is None or entry[0] <= ZERO_TOL:
             return None
         return entry[1]
 
@@ -176,18 +178,18 @@ class FinitePredictiveModel:
         return mat
 
 
-def models_equal(a: FinitePredictiveModel, b: FinitePredictiveModel, tol: float = 1e-9) -> bool:
-    """Structural equality: same names, same topology, probabilities within tol."""
+def models_equal(a: FinitePredictiveModel, b: FinitePredictiveModel) -> bool:
+    """Structural equality: same names, same topology, probabilities within ``EQUAL_TOL``."""
     if a.states != b.states or a.alphabet != b.alphabet:
         return False
-    keys_a = {k for k, (p, _) in a.trans.items() if p > POSITIVE_TOL}
-    keys_b = {k for k, (p, _) in b.trans.items() if p > POSITIVE_TOL}
+    keys_a = {k for k, (p, _) in a.trans.items() if p > ZERO_TOL}
+    keys_b = {k for k, (p, _) in b.trans.items() if p > ZERO_TOL}
     if keys_a != keys_b:
         return False
     for key in keys_a:
         pa, sa = a.trans[key]
         pb, sb = b.trans[key]
-        if sa != sb or abs(pa - pb) > tol:
+        if sa != sb or abs(pa - pb) > EQUAL_TOL:
             return False
     return True
 
@@ -205,12 +207,12 @@ def stationary(m: FinitePredictiveModel) -> Distribution:
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    if _stationary_residual(pi, t_mat) > STATIONARY_RESIDUAL or pi.min() < -1e-10:
+    if _stationary_residual(pi, t_mat) > EIG_TOL or pi.min() < -EIG_TOL:
         pi = _power_iteration(t_mat)
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    if _stationary_residual(pi, t_mat) > STATIONARY_RESIDUAL:
-        raise NoConvergenceError("stationary solve did not reach residual 1e-10")
+    if _stationary_residual(pi, t_mat) > EIG_TOL:
+        raise NoConvergenceError(f"stationary solve did not reach residual {EIG_TOL:g}")
     return validate_distribution(pi)
 
 
@@ -225,7 +227,7 @@ def _power_iteration(t_mat: np.ndarray) -> np.ndarray:
     for _ in range(_POWER_ITER_CAP):
         nxt = 0.5 * (v + v @ t_mat)
         nxt /= nxt.sum()
-        if np.max(np.abs(nxt - v)) < 1e-13:
+        if np.max(np.abs(nxt - v)) < STEP_TOL:
             return nxt
         v = nxt
     raise NoConvergenceError(f"power iteration did not converge in {_POWER_ITER_CAP} steps")
@@ -311,9 +313,7 @@ def split_state(
         raise ValueError("k must be at least 1")
     if k == 1:
         return m
-    incoming = sorted(
-        (s, x) for (s, x), (p, succ) in m.trans.items() if succ == target and p > POSITIVE_TOL
-    )
+    incoming = _incoming(m, target)
     router = dict(router or {})
     if set(router) != set(incoming):
         raise UnreachableCopyError(
@@ -339,7 +339,7 @@ def split_state(
         new_states.extend(names if s == target else (s,))
     new_trans: dict[tuple[str, str], tuple[float, str]] = {}
     for (s, x), (p, succ) in m.trans.items():
-        if p <= POSITIVE_TOL:
+        if p <= ZERO_TOL:
             continue
         if s == target:
             succ2 = routed(target, x) if succ == target else succ
@@ -348,6 +348,13 @@ def split_state(
         else:
             new_trans[(s, x)] = (p, routed(s, x) if succ == target else succ)
     return FinitePredictiveModel(tuple(new_states), m.alphabet, new_trans)
+
+
+def _incoming(m: FinitePredictiveModel, target: str) -> list[tuple[str, str]]:
+    """The (state, symbol) pairs of the positive transitions into ``target``, sorted."""
+    return sorted(
+        (s, x) for (s, x), (p, succ) in m.trans.items() if succ == target and p > ZERO_TOL
+    )
 
 
 # ---------------------------------------------------------------- file format
@@ -419,7 +426,7 @@ def parse_model(text: str) -> FinitePredictiveModel:
             if sym not in alphabet:
                 raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
             p = _parse_number(prob_tok, lineno)
-            if not (0 <= p <= 1 + ROW_SUM_TOL):
+            if not (0 <= p <= 1 + EQUAL_TOL):
                 raise ModelFormatError(f"probability {prob_tok!r} outside [0, 1]", lineno)
             key = (src, sym)
             if key in trans:
@@ -451,6 +458,6 @@ def serialize_model(m: FinitePredictiveModel) -> str:
     for s in m.states:
         for x in m.alphabet:
             entry = m.trans.get((s, x))
-            if entry is not None and entry[0] > POSITIVE_TOL:
+            if entry is not None and entry[0] > ZERO_TOL:
                 lines.append(f"t: {s} {x} {_significant(entry[0])} {entry[1]}")
     return "\n".join(lines) + "\n"

@@ -20,9 +20,8 @@ from .distributions import (
     compare,
     renyi_entropy,
 )
-from .hmm import POSITIVE_TOL, FinitePredictiveModel, stationary
-
-EQUIV_TOL = 1e-9
+from .hmm import FinitePredictiveModel, stationary
+from .tolerances import EQUAL_TOL, ZERO_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,23 +46,23 @@ def _first_appearance(keys: np.ndarray) -> np.ndarray:
     return rank[inverse.reshape(-1)]
 
 
-def _group_by_emissions(probs: np.ndarray, tol: float) -> np.ndarray:
-    # union of every pair of rows within tol entrywise; a class is labeled by
+def _group_by_emissions(probs: np.ndarray) -> np.ndarray:
+    # union of every pair of rows within EQUAL_TOL entrywise; a class is labeled by
     # its smallest member while the unions run
     labels = np.arange(len(probs))
     for row in probs:
-        joined = labels[np.all(np.abs(probs - row) <= tol, axis=1)]
+        joined = labels[np.all(np.abs(probs - row) <= EQUAL_TOL, axis=1)]
         labels[np.isin(labels, joined)] = joined.min()
     return _first_appearance(labels)
 
 
-def refine_partition(m: FinitePredictiveModel, tol: float = EQUIV_TOL) -> StatePartition:
+def refine_partition(m: FinitePredictiveModel) -> StatePartition:
     """Coarsest partition stable under emissions and per-symbol successors.
 
     Blocks come out in order of their first member in ``m.states``.
     """
-    labels = _group_by_emissions(m.probs, tol)
-    live = m.probs > POSITIVE_TOL
+    labels = _group_by_emissions(m.probs)
+    live = m.probs > ZERO_TOL
     for _ in range(len(m.states)):
         # where live is False, succ may be -1; the label read there is masked
         signature = np.column_stack([labels, np.where(live, labels[m.succ], -1)])
@@ -79,19 +78,19 @@ def refine_partition(m: FinitePredictiveModel, tol: float = EQUIV_TOL) -> StateP
     )
 
 
-def is_epsilon_machine(m: FinitePredictiveModel, tol: float = EQUIV_TOL) -> bool:
+def is_epsilon_machine(m: FinitePredictiveModel) -> bool:
     """True iff all states are probabilistically distinct."""
-    return refine_partition(m, tol).is_discrete()
+    return refine_partition(m).is_discrete()
 
 
-def merge(m: FinitePredictiveModel, tol: float = EQUIV_TOL) -> FinitePredictiveModel:
+def merge(m: FinitePredictiveModel) -> FinitePredictiveModel:
     """Quotient model over the equivalence blocks.
 
     Blocks are named after their lexicographically smallest member and kept
     in first-appearance order, so the output is deterministic and merging is
     idempotent.
     """
-    return _quotient(m, refine_partition(m, tol))
+    return _quotient(m, refine_partition(m))
 
 
 def _quotient(m: FinitePredictiveModel, part: StatePartition) -> FinitePredictiveModel:
@@ -101,7 +100,7 @@ def _quotient(m: FinitePredictiveModel, part: StatePartition) -> FinitePredictiv
         rep = min(block)
         for x in m.alphabet:
             p = m.prob(rep, x)
-            if p > POSITIVE_TOL:
+            if p > ZERO_TOL:
                 succ_block = part.block_of[m.successor(rep, x)]
                 trans[(name, x)] = (p, names[succ_block])
     return FinitePredictiveModel(names, m.alphabet, trans)
@@ -123,7 +122,7 @@ class MinimalityReport:
         return self.partition.is_discrete()
 
 
-def strong_minimality_report(m: FinitePredictiveModel, alphas=ALPHA_GRID) -> MinimalityReport:
+def strong_minimality_report(m: FinitePredictiveModel) -> MinimalityReport:
     """Merge, then compare stationary distributions and entropy tables.
 
     The merged machine's stationary state should majorize (or tie) the
@@ -135,7 +134,7 @@ def strong_minimality_report(m: FinitePredictiveModel, alphas=ALPHA_GRID) -> Min
     pi_model = stationary(m)
     verdict = compare(pi_machine, pi_model)
     rows = tuple(
-        (a, renyi_entropy(pi_machine, a), renyi_entropy(pi_model, a)) for a in alphas
+        (a, renyi_entropy(pi_machine, a), renyi_entropy(pi_model, a)) for a in ALPHA_GRID
     )
     return MinimalityReport(
         machine=machine,
@@ -147,12 +146,13 @@ def strong_minimality_report(m: FinitePredictiveModel, alphas=ALPHA_GRID) -> Min
     )
 
 
-def canonical_encoding(m: FinitePredictiveModel, ndigits: int = 9) -> tuple:
+def canonical_encoding(m: FinitePredictiveModel) -> tuple:
     """Relabeling-invariant encoding; equal encodings mean isomorphic machines.
 
-    BFS from every state in alphabet order, take the minimal transition
-    table.  Intended for small machines (isomorphism smoke tests).
+    BFS from every state in alphabet order, take the minimal transition table
+    (rounded to the digits of ``EQUAL_TOL``).  For small machines (smoke tests).
     """
+    ndigits = round(-np.log10(EQUAL_TOL))
     best = None
     for root in m.states:
         order = [root]
@@ -173,7 +173,7 @@ def canonical_encoding(m: FinitePredictiveModel, ndigits: int = 9) -> tuple:
             tuple(
                 (x, round(m.prob(s, x), ndigits), index[m.successor(s, x)])
                 for x in m.alphabet
-                if m.prob(s, x) > POSITIVE_TOL
+                if m.prob(s, x) > ZERO_TOL
             )
             for s in order
         )

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import logging
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,7 +47,6 @@ from .errors import (
     UnknownSymbolError,
 )
 from .hmm import (
-    POSITIVE_TOL,
     FinitePredictiveModel,
     LinearRep,
     _directives,
@@ -53,16 +54,10 @@ from .hmm import (
     stationary,
 )
 from .minimize import is_epsilon_machine
+from .tolerances import EIG_TOL, EQUAL_TOL, STEP_TOL, ZERO_TOL
 
 log = logging.getLogger(__name__)
 
-UNIT_TOL = 1e-9
-COMPLETENESS_TOL = 1e-9
-PHASE_MATCH_TOL = 1e-9
-RANK_TOL = 1e-10
-PSD_TOL = 1e-10
-EIG_CLIP = 1e-10
-GRAM_TOL = 1e-13
 GRAM_MAX_ITER = 100_000
 
 
@@ -71,16 +66,16 @@ class PureStateQuantumModel:
     """Unifilar pure-state quantum model.
 
     ``states`` is a dim x n complex matrix whose columns are the memory
-    vectors, one per label; ``kraus`` maps each symbol to a dim x dim
-    operator.  Invariants (unit norms, completeness, unifilarity) are
-    enforced at construction.
+    vectors, one per label; ``kraus``, stored read-only, maps each symbol to
+    a dim x dim operator.  Invariants (unit norms, completeness, unifilarity)
+    are enforced at construction.
     """
 
     dim: int
     labels: tuple[str, ...]
     states: np.ndarray
     alphabet: tuple[str, ...]
-    kraus: dict[str, np.ndarray]
+    kraus: Mapping[str, np.ndarray]
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -111,25 +106,28 @@ class PureStateQuantumModel:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "kraus", MappingProxyType(kraus))
         norm_defect = np.max(np.abs(np.linalg.norm(states, axis=0) - 1.0))
-        if not norm_defect <= UNIT_TOL:
+        if not norm_defect <= EQUAL_TOL:
             raise InvalidModelError(f"state norms deviate from 1 by {norm_defect:.3g}")
         resid = completeness_residual(self)
-        if not resid <= COMPLETENESS_TOL:
+        if not resid <= EQUAL_TOL:
             raise CompletenessViolationError(f"completeness residual {resid:.3g}")
         _check_unifilar(self)
+
+    def __reduce__(self):
+        # a read-only table does not pickle; rebuild (and revalidate) from a copy
+        args = (self.dim, self.labels, self.states, self.alphabet, dict(self.kraus))
+        return PureStateQuantumModel, args
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def linear_rep(self, rho: np.ndarray | None = None) -> LinearRep:
-        """Word-probability view: rho (default stationary), one Kraus map per symbol, the trace."""
-        if rho is None:
-            rho = stationary_density(self)
+    def linear_rep(self) -> LinearRep:
+        """Word-probability view: stationary rho, one Kraus map per symbol, the trace."""
         ops = {x: _KrausMap(k) for x, k in self.kraus.items()}
-        return LinearRep(np.asarray(rho), ops, lambda r: np.trace(r).real)
+        return LinearRep(stationary_density(self), ops, lambda r: np.trace(r).real)
 
 
 class _KrausMap:
@@ -153,34 +151,35 @@ def completeness_residual(q: PureStateQuantumModel) -> float:
     return float(np.linalg.norm(acc - np.eye(q.dim), 2))
 
 
-def _check_unifilar(q: PureStateQuantumModel):
+def _images(q: PureStateQuantumModel):
+    """Yield (symbol, label, p, overlaps) for each image K|s> with norm above ``EQUAL_TOL``:
+    p = <Ks|Ks>, and overlaps[j] = |<s_j|Ks>| / sqrt(p) is one iff Ks is state j up to phase."""
     for x in q.alphabet:
         images = q.kraus[x] @ q.states
-        norms = np.linalg.norm(images, axis=0)
-        for col, nrm in enumerate(norms):
-            if nrm <= UNIT_TOL:
-                continue
-            overlaps = np.abs(q.states.conj().T @ images[:, col]) / nrm
-            if overlaps.max() < 1.0 - PHASE_MATCH_TOL:
-                raise NotUnifilarError(
-                    f"K[{x!r}] maps state {q.labels[col]!r} outside the state set "
-                    f"(best overlap {overlaps.max():.9f})"
-                )
+        for col, label in enumerate(q.labels):
+            p = float(np.real(np.vdot(images[:, col], images[:, col])))
+            nrm = np.sqrt(p)
+            if nrm > EQUAL_TOL:
+                yield x, label, p, np.abs(q.states.conj().T @ images[:, col]) / nrm
+
+
+def _check_unifilar(q: PureStateQuantumModel):
+    for x, label, _, overlaps in _images(q):
+        if overlaps.max() < 1.0 - EQUAL_TOL:
+            raise NotUnifilarError(
+                f"K[{x!r}] maps state {label!r} outside the state set "
+                f"(best overlap {overlaps.max():.9f})"
+            )
 
 
 # -------------------------------------------------------- overlap recursion
 
-def gram_fixed_point(
-    m: FinitePredictiveModel,
-    tol: float = GRAM_TOL,
-    max_iter: int = GRAM_MAX_ITER,
-    init: np.ndarray | None = None,
-) -> np.ndarray:
+def gram_fixed_point(m: FinitePredictiveModel, init: np.ndarray | None = None) -> np.ndarray:
     """Fixed point of the state-overlap recursion, diagonal pinned to one.
 
     Iterates from the identity (or ``init``) until the largest entry update
-    drops below ``tol``.  Well-defined for any unifilar input; minimality is
-    only needed for the result to define a faithful quantum model, so a
+    drops below ``STEP_TOL``.  Well-defined for any unifilar input; minimality
+    is only needed for the result to define a faithful quantum model, so a
     non-minimal input just earns a warning.
     """
     if not is_epsilon_machine(m):
@@ -191,48 +190,48 @@ def gram_fixed_point(
         )
     n = len(m.states)
     roots = np.sqrt(m.probs)
-    mapped = np.where(m.probs > POSITIVE_TOL, m.succ, 0)
+    mapped = np.where(m.probs > ZERO_TOL, m.succ, 0)
     terms = [(np.outer(w, w), np.ix_(col, col)) for w, col in zip(roots.T, mapped.T)]
     gram = np.eye(n) if init is None else np.array(init, dtype=float)
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, GRAM_MAX_ITER + 1):
         nxt = np.zeros_like(gram)
         for w_outer, pairs in terms:
             nxt += w_outer * gram[pairs]
         np.fill_diagonal(nxt, 1.0)
         delta = np.max(np.abs(nxt - gram))
         gram = nxt
-        if delta < tol:
+        if delta < STEP_TOL:
             log.debug("overlap recursion converged in %d iterations", iteration)
             return gram
-    raise NoConvergenceError(f"overlap recursion not converged after {max_iter} iterations")
+    raise NoConvergenceError(f"overlap recursion not converged after {GRAM_MAX_ITER} iterations")
 
 
-def embed_states(gram: np.ndarray, rank_tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
+def embed_states(gram: np.ndarray) -> tuple[int, np.ndarray]:
     """Realize vectors with the prescribed pairwise overlaps.
 
     Eigendecomposes the overlap matrix and keeps the eigenvalues above
-    ``rank_tol``; returns (dimension, dim x n state matrix) whose columns
+    ``EIG_TOL``; returns (dimension, dim x n state matrix) whose columns
     reproduce the overlaps.
     """
     gram = np.asarray(gram)
-    if not np.max(np.abs(gram - gram.conj().T)) <= UNIT_TOL:
+    if not np.max(np.abs(gram - gram.conj().T)) <= EQUAL_TOL:
         raise NotHermitianError("overlap matrix is not Hermitian")
-    states, _ = _eigen_embed(gram, rank_tol)
+    states, _ = _eigen_embed(gram)
     return states.shape[0], states
 
 
-def _eigen_embed(gram: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _eigen_embed(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """State matrix realizing ``gram`` and its pseudoinverse, via eigendecomposition.
 
-    Keeps the eigenvalues above ``rank_tol`` in descending order; returns
+    Keeps the eigenvalues above ``EIG_TOL`` in descending order; returns
     S = sqrt(W) U^dag (dim x n) and U W^{-1/2} (n x dim).
     """
     w, u = np.linalg.eigh(gram)
-    if not w.min() >= -PSD_TOL:
+    if not w.min() >= -EIG_TOL:
         raise NotPSDError(f"overlap matrix has eigenvalue {w.min():.3g}")
     order = np.argsort(w)[::-1]
     w, u = w[order], u[:, order]
-    keep = w > rank_tol
+    keep = w > EIG_TOL
     root, vecs = np.sqrt(w[keep]), u[:, keep]
     return np.diag(root) @ vecs.conj().T, vecs @ np.diag(1.0 / root)
 
@@ -242,12 +241,12 @@ def build_qmachine(m: FinitePredictiveModel) -> PureStateQuantumModel:
 
     States come from embedding the fixed-point overlaps; each Kraus operator
     is the least-squares solution of K S = S'_x, with the pseudoinverse taken
-    through the overlap eigendecomposition (rank tolerance 1e-10).
+    through the overlap eigendecomposition (rank tolerance ``EIG_TOL``).
     """
-    states, pinv = _eigen_embed(gram_fixed_point(m), RANK_TOL)
+    states, pinv = _eigen_embed(gram_fixed_point(m))
     kraus = {}
     for j, x in enumerate(m.alphabet):
-        live = np.flatnonzero(m.probs[:, j] > POSITIVE_TOL)
+        live = np.flatnonzero(m.probs[:, j] > ZERO_TOL)
         target = np.zeros_like(states)
         target[:, live] = np.sqrt(m.probs[live, j]) * states[:, m.succ[live, j]]
         kraus[x] = target @ pinv
@@ -275,18 +274,18 @@ def stationary_density(q: PureStateQuantumModel, pi=None) -> np.ndarray:
         raise DimensionMismatchError(f"stationary length {len(pi)} != {q.n} labels")
     rho = (q.states * pi.probs) @ q.states.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    if not abs(np.trace(rho).real - 1.0) <= UNIT_TOL:
+    if not abs(np.trace(rho).real - 1.0) <= EQUAL_TOL:
         raise InvalidModelError(f"density trace {np.trace(rho).real:.12g} != 1")
     return rho
 
 
-def spectrum(rho: np.ndarray, pad_to_n: int) -> Distribution:
+def spectrum(density: np.ndarray, pad_to_n: int) -> Distribution:
     """Eigenvalues of a density matrix, descending, zero-padded to ``pad_to_n``."""
-    rho = np.asarray(rho)
-    if not np.max(np.abs(rho - rho.conj().T)) <= UNIT_TOL:
+    density = np.asarray(density)
+    if not np.max(np.abs(density - density.conj().T)) <= EQUAL_TOL:
         raise NotHermitianError("density matrix is not Hermitian")
-    vals = np.linalg.eigvalsh(rho)[::-1].copy()
-    vals[(vals < 0) & (vals > -EIG_CLIP)] = 0.0
+    vals = np.linalg.eigvalsh(density)[::-1].copy()
+    vals[(vals < 0) & (vals > -EIG_TOL)] = 0.0
     return pad_to(validate_distribution(vals), pad_to_n)
 
 
@@ -298,21 +297,15 @@ def classical_equivalent(q: PureStateQuantumModel) -> FinitePredictiveModel:
     up to a global phase.
     """
     trans: dict[tuple[str, str], tuple[float, str]] = {}
-    for x in q.alphabet:
-        k_mat = q.kraus[x]
-        images = k_mat @ q.states
-        for col, label in enumerate(q.labels):
-            p = float(np.real(np.vdot(images[:, col], images[:, col])))
-            if p <= POSITIVE_TOL:
-                continue
-            nrm = np.sqrt(p)
-            overlaps = np.abs(q.states.conj().T @ images[:, col]) / nrm
-            hits = np.flatnonzero(overlaps > 1.0 - PHASE_MATCH_TOL)
-            if hits.size != 1:
-                raise AmbiguousSuccessorError(
-                    f"state {label!r} under K[{x!r}]: {hits.size} matching states"
-                )
-            trans[(label, x)] = (min(p, 1.0), q.labels[int(hits[0])])
+    for x, label, p, overlaps in _images(q):
+        if p <= ZERO_TOL:
+            continue
+        hits = np.flatnonzero(overlaps > 1.0 - EQUAL_TOL)
+        if hits.size != 1:
+            raise AmbiguousSuccessorError(
+                f"state {label!r} under K[{x!r}]: {hits.size} matching states"
+            )
+        trans[(label, x)] = (min(p, 1.0), q.labels[int(hits[0])])
     return FinitePredictiveModel(q.labels, q.alphabet, trans)
 
 
@@ -326,9 +319,9 @@ def vn_renyi(q: PureStateQuantumModel, alpha) -> float:
     return renyi_entropy(memory_spectrum(q), alpha)
 
 
-def quantum_word_probability(q: PureStateQuantumModel, word, rho: np.ndarray | None = None) -> float:
-    """Probability of a word under the Kraus dynamics from ``rho`` (default stationary)."""
-    return q.linear_rep(rho).probability(word)
+def quantum_word_probability(q: PureStateQuantumModel, word) -> float:
+    """Probability of a word under the Kraus dynamics from the stationary density."""
+    return q.linear_rep().probability(word)
 
 
 def quantum_word_distribution(q: PureStateQuantumModel, length: int) -> dict:
@@ -346,7 +339,7 @@ class AdvantageReport:
     entropies: tuple[tuple[float, float, float], ...]  # (alpha, S quantum, H classical)
 
 
-def strong_advantage_report(q: PureStateQuantumModel, pi=None, alphas=ALPHA_GRID) -> AdvantageReport:
+def strong_advantage_report(q: PureStateQuantumModel, pi=None) -> AdvantageReport:
     """Compare the memory spectrum against the classical stationary state.
 
     The spectrum majorizes (or ties) the stationary state, so every Renyi
@@ -358,17 +351,17 @@ def strong_advantage_report(q: PureStateQuantumModel, pi=None, alphas=ALPHA_GRID
     pi = _label_weights(q, pi)
     lam = spectrum(stationary_density(q, pi), q.n)
     verdict = compare(lam, pi)
-    rows = tuple((a, renyi_entropy(lam, a), renyi_entropy(pi, a)) for a in alphas)
+    rows = tuple((a, renyi_entropy(lam, a), renyi_entropy(pi, a)) for a in ALPHA_GRID)
     return AdvantageReport(spectrum=lam, stationary=pi, verdict=verdict, entropies=rows)
 
 
-def quantum_models_equal(a: PureStateQuantumModel, b: PureStateQuantumModel, tol: float = 1e-9) -> bool:
-    """Entrywise equality of labels, states, and Kraus operators within tol."""
+def quantum_models_equal(a: PureStateQuantumModel, b: PureStateQuantumModel) -> bool:
+    """Entrywise equality of labels, states, and Kraus operators within ``EQUAL_TOL``."""
     if a.labels != b.labels or a.alphabet != b.alphabet or a.dim != b.dim:
         return False
-    if not np.allclose(a.states, b.states, atol=tol):
+    if not np.allclose(a.states, b.states, atol=EQUAL_TOL):
         return False
-    return all(np.allclose(a.kraus[x], b.kraus[x], atol=tol) for x in a.alphabet)
+    return all(np.allclose(a.kraus[x], b.kraus[x], atol=EQUAL_TOL) for x in a.alphabet)
 
 
 # ---------------------------------------------------------------- file format

@@ -38,6 +38,7 @@ from .errors import (
     UnphysicalThetaError,
 )
 from .quantum import PureStateQuantumModel, memory_spectrum
+from .tolerances import EQUAL_TOL
 
 PHYSICAL_MIN = math.pi / 3.0
 SINGULAR_MARGIN = 1e-6
@@ -124,7 +125,7 @@ def candidate(theta: float) -> CandidateModel2D:
         duals=duals,
     )
     worst = _magnitude_defect(model)
-    if worst > 1e-9:
+    if worst > EQUAL_TOL:
         raise MachinaError(f"internal: transition magnitudes off by {worst:.3g}")
     return model
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hmm import POSITIVE_TOL, FinitePredictiveModel, split_state
+from .hmm import FinitePredictiveModel, _incoming, split_state
 from .minimize import merge
 
 
@@ -52,11 +52,7 @@ def random_split(rng: np.random.Generator, m: FinitePredictiveModel) -> FinitePr
     """One random legal state split, or None if no state can be split."""
     candidates = []
     for target in m.states:
-        incoming = sorted(
-            (s, x)
-            for (s, x), (p, succ) in m.trans.items()
-            if succ == target and p > POSITIVE_TOL
-        )
+        incoming = _incoming(m, target)
         if len(incoming) >= 2:
             candidates.append((target, incoming))
     if not candidates:

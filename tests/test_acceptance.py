@@ -237,9 +237,9 @@ def test_criterion_12_quantum_classical_word_agreement():
 def test_criterion_13_round_trips():
     classical = [mbw3(), mbw4(), even_odd(0.5), even_odd(0.3), biased_coin(0.6)]
     for m in classical:
-        assert models_equal(parse_model(serialize_model(m)), m, tol=1e-9)
+        assert models_equal(parse_model(serialize_model(m)), m)
     for q in (d3(), d4(), q3(), q4()):
-        assert quantum_models_equal(parse_quantum_model(serialize_quantum_model(q)), q, tol=1e-9)
+        assert quantum_models_equal(parse_quantum_model(serialize_quantum_model(q)), q)
     for m in (mbw3(), mbw4(), even_odd(0.5), biased_coin(0.6)):
-        assert models_equal(classical_equivalent(build_qmachine(m)), m, tol=1e-9)
+        assert models_equal(classical_equivalent(build_qmachine(m)), m)
     _report(13, "parse/serialize and synthesize/read-off round-trips are identities")

@@ -11,7 +11,7 @@ from machina.catalog import (
     mbw4,
 )
 from machina.distributions import MajorizationVerdict, compare
-from machina.hmm import POSITIVE_TOL, FinitePredictiveModel, stationary, word_distribution
+from machina.hmm import FinitePredictiveModel, stationary, word_distribution
 from machina.minimize import (
     canonical_encoding,
     is_epsilon_machine,
@@ -24,6 +24,7 @@ from machina.random_models import (
     random_refinement,
     random_unifilar_model,
 )
+from machina.tolerances import EQUAL_TOL, ZERO_TOL
 
 MAJOR_OR_EQ = (MajorizationVerdict.STRICTLY_MAJORIZES, MajorizationVerdict.EQUIVALENT)
 
@@ -153,7 +154,7 @@ def test_merge_undoes_random_splits_of_larger_machines():
         assert canonical_encoding(merge(split)) == canonical_encoding(machine)
 
 
-def _reference_partition(m, tol=minimize.EQUIV_TOL):
+def _reference_partition(m, tol=EQUAL_TOL):
     """Pairwise union-find over emission rows, then signature refinement by state name."""
     sigs = {s: tuple(m.prob(s, x) for x in m.alphabet) for s in m.states}
     parent = {s: s for s in m.states}
@@ -171,7 +172,7 @@ def _reference_partition(m, tol=minimize.EQUIV_TOL):
     while True:
         sig = {
             s: (labels[s], tuple(
-                (x, labels[m.successor(s, x)]) for x in m.alphabet if m.prob(s, x) > POSITIVE_TOL
+                (x, labels[m.successor(s, x)]) for x in m.alphabet if m.prob(s, x) > ZERO_TOL
             ))
             for s in m.states
         }

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -225,13 +227,13 @@ def test_vn_renyi_q3():
     [(d3, mbw3), (d4, mbw4), (q3, mbw3), (q4, mbw4)],
 )
 def test_classical_equivalent_recovers_chain(q_factory, m_factory):
-    assert models_equal(classical_equivalent(q_factory()), m_factory(), tol=1e-9)
+    assert models_equal(classical_equivalent(q_factory()), m_factory())
 
 
 @pytest.mark.parametrize("factory", [mbw3, mbw4, lambda: even_odd(0.5), lambda: biased_coin(0.6)])
 def test_round_trip_through_synthesis(factory):
     m = factory()
-    assert models_equal(classical_equivalent(build_qmachine(m)), m, tol=1e-9)
+    assert models_equal(classical_equivalent(build_qmachine(m)), m)
 
 
 def test_ambiguous_successor_detected():
@@ -338,7 +340,7 @@ def test_orthonormal_states_give_equivalent_verdict():
 def test_quantum_file_round_trip(factory):
     q = factory()
     again = parse_quantum_model(serialize_quantum_model(q))
-    assert quantum_models_equal(q, again, tol=1e-9)
+    assert quantum_models_equal(q, again)
 
 
 def test_quantum_model_validation_rejects_incompleteness():
@@ -348,3 +350,16 @@ def test_quantum_model_validation_rejects_incompleteness():
         PureStateQuantumModel(
             dim=2, labels=("A", "B"), states=states, alphabet=("0",), kraus=kraus
         )
+
+
+def test_transition_tables_are_read_only_and_copy_by_value():
+    m, q = mbw3(), q3()
+    with pytest.raises(TypeError):
+        m.trans[("A", "A")] = (0.1, "B")
+    with pytest.raises(TypeError):
+        q.kraus["A"] = np.eye(q.dim)
+    assert m.probs[0, 0] == pytest.approx(2 / 3)
+    for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert again is not m and models_equal(again, m)
+    for again in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+        assert again is not q and quantum_models_equal(again, q)
