@@ -12,7 +12,7 @@ after which the states are any vectors realizing G and the Kraus operators
 the least-squares solutions of K S = S'_x on the state span.  The memory
 cost of a model is the Renyi entropy of the eigenvalue spectrum of its
 stationary density matrix, which always majorizes the stationary state of
-the classical read-off.
+the classical read-off; that read-off is found when a model is validated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -76,6 +76,7 @@ class PureStateQuantumModel:
     states: np.ndarray
     alphabet: tuple[str, ...]
     kraus: Mapping[str, np.ndarray]
+    _read_off: tuple = field(init=False, repr=False)  # found by _walk_images
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -113,7 +114,7 @@ class PureStateQuantumModel:
         resid = completeness_residual(self)
         if not resid <= EQUAL_TOL:
             raise CompletenessViolationError(f"completeness residual {resid:.3g}")
-        _check_unifilar(self)
+        object.__setattr__(self, "_read_off", _walk_images(self))
 
     def __reduce__(self):
         # a read-only table does not pickle; rebuild (and revalidate) from a copy
@@ -145,31 +146,36 @@ class _KrausMap:
 
 def completeness_residual(q: PureStateQuantumModel) -> float:
     """Operator-norm distance of sum(K^dag K) from the identity."""
-    acc = np.zeros((q.dim, q.dim), dtype=complex)
-    for x in q.alphabet:
-        acc += q.kraus[x].conj().T @ q.kraus[x]
+    acc = sum(k.conj().T @ k for k in q.kraus.values())
     return float(np.linalg.norm(acc - np.eye(q.dim), 2))
 
 
-def _images(q: PureStateQuantumModel):
-    """Yield (symbol, label, p, overlaps) for each image K|s> with norm above ``EQUAL_TOL``:
-    p = <Ks|Ks>, and overlaps[j] = |<s_j|Ks>| / sqrt(p) is one iff Ks is state j up to phase."""
-    for x in q.alphabet:
+def _walk_images(q: PureStateQuantumModel) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """Check unifilarity; read off the images K|s> with p = <Ks|Ks> above ``ZERO_TOL`` as
+    ``FinitePredictiveModel``-style probs/succ, plus the first ambiguity's message or None."""
+    probs, succ = np.zeros((q.n, len(q.alphabet))), np.full((q.n, len(q.alphabet)), -1)
+    ambiguous = None
+    bras = q.states.conj().T
+    for j, x in enumerate(q.alphabet):
         images = q.kraus[x] @ q.states
-        for col, label in enumerate(q.labels):
-            p = float(np.real(np.vdot(images[:, col], images[:, col])))
+        for i, label in enumerate(q.labels):
+            p = float(np.real(np.vdot(images[:, i], images[:, i])))
             nrm = np.sqrt(p)
             if nrm > EQUAL_TOL:
-                yield x, label, p, np.abs(q.states.conj().T @ images[:, col]) / nrm
-
-
-def _check_unifilar(q: PureStateQuantumModel):
-    for x, label, _, overlaps in _images(q):
-        if overlaps.max() < 1.0 - EQUAL_TOL:
-            raise NotUnifilarError(
-                f"K[{x!r}] maps state {label!r} outside the state set "
-                f"(best overlap {overlaps.max():.9f})"
-            )
+                overlaps = np.abs(bras @ images[:, i]) / nrm
+                if overlaps.max() < 1.0 - EQUAL_TOL:
+                    raise NotUnifilarError(
+                        f"K[{x!r}] maps state {label!r} outside the state set "
+                        f"(best overlap {overlaps.max():.9f})"
+                    )
+                hits = np.flatnonzero(overlaps > 1.0 - EQUAL_TOL)
+                if p > ZERO_TOL and hits.size == 1:
+                    probs[i, j], succ[i, j] = min(p, 1.0), hits[0]
+                elif p > ZERO_TOL and ambiguous is None:
+                    ambiguous = f"state {label!r} under K[{x!r}]: {hits.size} matching states"
+    probs.setflags(write=False)
+    succ.setflags(write=False)
+    return probs, succ, ambiguous
 
 
 # -------------------------------------------------------- overlap recursion
@@ -180,7 +186,9 @@ def gram_fixed_point(m: FinitePredictiveModel, init: np.ndarray | None = None) -
     Iterates from the identity (or ``init``) until the largest entry update
     drops below ``STEP_TOL``.  Well-defined for any unifilar input; minimality
     is only needed for the result to define a faithful quantum model, so a
-    non-minimal input just earns a warning.
+    non-minimal input just earns a warning.  Its refinement stays because it is
+    the only signal: ``biased_coin_split(0.6, "c")`` is not minimal, yet its
+    fixed point is the identity and its model reads off unambiguously.
     """
     if not is_epsilon_machine(m):
         warnings.warn(
@@ -290,22 +298,19 @@ def spectrum(density: np.ndarray, pad_to_n: int) -> Distribution:
 
 
 def classical_equivalent(q: PureStateQuantumModel) -> FinitePredictiveModel:
-    """Unifilar HMM read off a quantum model.
+    """Unifilar HMM read off a quantum model; the read-off is found at validation.
 
     Emission probabilities are the quadratic forms <s|K^dag K|s>; the
     successor is the unique label whose state matches the normalized image
     up to a global phase.
     """
-    trans: dict[tuple[str, str], tuple[float, str]] = {}
-    for x, label, p, overlaps in _images(q):
-        if p <= ZERO_TOL:
-            continue
-        hits = np.flatnonzero(overlaps > 1.0 - EQUAL_TOL)
-        if hits.size != 1:
-            raise AmbiguousSuccessorError(
-                f"state {label!r} under K[{x!r}]: {hits.size} matching states"
-            )
-        trans[(label, x)] = (min(p, 1.0), q.labels[int(hits[0])])
+    probs, succ, ambiguous = q._read_off
+    if ambiguous is not None:
+        raise AmbiguousSuccessorError(ambiguous)
+    trans = {}
+    for j, x in enumerate(q.alphabet):
+        for i in np.flatnonzero(succ[:, j] >= 0):
+            trans[(q.labels[i], x)] = (float(probs[i, j]), q.labels[succ[i, j]])
     return FinitePredictiveModel(q.labels, q.alphabet, trans)
 
 
@@ -456,8 +461,8 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
     )
 
 
-def _pair(z: complex) -> str:
-    return f"({z.real:.12g},{z.imag:.12g})"
+def _pairs(values: np.ndarray) -> str:
+    return " ".join(f"({z.real:.12g},{z.imag:.12g})" for z in values.tolist())
 
 
 def serialize_quantum_model(q: PureStateQuantumModel) -> str:
@@ -467,12 +472,6 @@ def serialize_quantum_model(q: PureStateQuantumModel) -> str:
         f"dim: {q.dim}",
         "alphabet: " + " ".join(q.alphabet),
     ]
-    for i, label in enumerate(q.labels):
-        entries = " ".join(_pair(z) for z in q.states[:, i])
-        lines.append(f"state: {label}  {entries}")
-    for x in q.alphabet:
-        rows = " / ".join(
-            " ".join(_pair(z) for z in row) for row in q.kraus[x]
-        )
-        lines.append(f"kraus: {x}  {rows}")
+    lines += [f"state: {label}  {_pairs(col)}" for label, col in zip(q.labels, q.states.T)]
+    lines += [f"kraus: {x}  " + " / ".join(map(_pairs, q.kraus[x])) for x in q.alphabet]
     return "\n".join(lines) + "\n"

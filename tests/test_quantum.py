@@ -2,10 +2,12 @@ import copy
 import itertools
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
+from machina import quantum
 from machina.catalog import (
     biased_coin,
     biased_coin_split,
@@ -17,6 +19,7 @@ from machina.catalog import (
     q3,
     q4,
 )
+from machina.cli import main
 from machina.distributions import MajorizationVerdict
 from machina.errors import (
     AmbiguousSuccessorError,
@@ -24,8 +27,10 @@ from machina.errors import (
     DimensionMismatchError,
     NotHermitianError,
     NotPSDError,
+    NotUnifilarError,
 )
 from machina.hmm import models_equal, stationary, word_distribution
+from machina.minimize import merge
 from machina.quantum import (
     PureStateQuantumModel,
     build_qmachine,
@@ -44,6 +49,7 @@ from machina.quantum import (
     strong_advantage_report,
     vn_renyi,
 )
+from machina.random_models import random_unifilar_model
 
 # overlaps forced by the recursion on the cyclic chains
 Q3_OFFDIAG = 5 / 6
@@ -92,6 +98,18 @@ def test_gram_initialization_independence(model):
 def test_gram_warns_on_redundant_input():
     with pytest.warns(UserWarning, match="equivalent states"):
         gram_fixed_point(biased_coin_split(0.6, "b"))
+
+
+def test_redundant_input_with_identity_gram_is_flagged_only_by_the_warning():
+    # B and C are equivalent, yet any G[B, C] solves its own equation, so the
+    # fixed point from the identity stays there and the model reads off cleanly
+    m = biased_coin_split(0.6, "c")
+    with pytest.warns(UserWarning, match="equivalent states"):
+        gram = gram_fixed_point(m)
+    assert np.array_equal(gram, np.eye(2))
+    with pytest.warns(UserWarning, match="equivalent states"):
+        q = build_qmachine(m)
+    assert len(classical_equivalent(q).states) == 2
 
 
 # ---------------------------------------------------------------- embedding
@@ -245,6 +263,49 @@ def test_ambiguous_successor_detected():
     )
     with pytest.raises(AmbiguousSuccessorError):
         classical_equivalent(q)
+
+
+QUBIT_HEAD = "model: quantum\ndim: 2\nalphabet: 0\n"
+HADAMARD_FILE = QUBIT_HEAD + (
+    "state: A  (1,0) (0,0)\nstate: B  (0,0) (1,0)\n"
+    "kraus: 0  (0.707106781187,0) (0.707106781187,0) / (0.707106781187,0) (-0.707106781187,0)\n"
+)
+TWIN_STATES_FILE = QUBIT_HEAD + (
+    "state: A  (1,0) (0,0)\nstate: B  (1,0) (0,0)\nkraus: 0  (1,0) (0,0) / (0,0) (1,0)\n"
+)
+
+
+def test_qubit_validation_errors_and_their_exit_codes(tmp_path, capsys):
+    leaves = "K['0'] maps state 'A' outside the state set (best overlap 0.707106781)"
+    twins = "state 'A' under K['0']: 2 matching states"
+    with pytest.raises(NotUnifilarError, match=re.escape(leaves)):
+        parse_quantum_model(HADAMARD_FILE)
+    with pytest.raises(AmbiguousSuccessorError, match=re.escape(twins)):
+        classical_equivalent(parse_quantum_model(TWIN_STATES_FILE))
+    hadamard, twin = tmp_path / "hadamard.qm", tmp_path / "twin.qm"
+    hadamard.write_text(HADAMARD_FILE)
+    twin.write_text(TWIN_STATES_FILE)
+    assert main(["validate", str(hadamard)]) == 1
+    assert leaves in capsys.readouterr().err
+    assert main(["validate", str(twin)]) == 0
+    assert "unifilar: ok" in capsys.readouterr().out
+    assert main(["entropy", str(twin)]) == 1
+    assert capsys.readouterr().err == f"error: {twins}\n"
+
+
+def test_kraus_images_are_walked_once_per_model(monkeypatch):
+    calls = []
+    walk = quantum._walk_images
+    monkeypatch.setattr(quantum, "_walk_images", lambda q: calls.append(q) or walk(q))
+    q = d3()
+    memory_spectrum(q)
+    strong_advantage_report(q)
+    assert len(calls) == 1
+    calls.clear()
+    q = build_qmachine(merge(random_unifilar_model(np.random.default_rng(7), 24, 3)))
+    strong_advantage_report(q)
+    parse_quantum_model(serialize_quantum_model(q))
+    assert len(calls) == 2
 
 
 # -------------------------------------------------------------- word measure
