@@ -55,6 +55,7 @@ from .quantum import (
     strong_advantage_report,
 )
 from .qubit_family import counterexample_report, sweep_csv
+from .tolerances import ZERO_TOL
 
 _USAGE_ERRORS = (
     FileNotFoundError,
@@ -260,11 +261,12 @@ def cmd_qmachine(args) -> int:
     # a non-minimal input collapses equivalent states, so the read-off can be
     # ambiguous; the spectrum still majorizes the input's stationary state
     report = strong_advantage_report(q, pi=None if minimal else stationary(model))
-    gram = q.states.conj().T @ q.states
+    gram = np.real(q.states.conj().T @ q.states)
+    gram[np.abs(gram) <= ZERO_TOL] = 0.0  # rounding noise of the embedding, not an overlap
     print(f"dim: {q.dim}")
     print("gram:")
-    for row in np.real_if_close(gram):
-        print("  " + " ".join(f"{float(np.real(v)):>10.6g}" for v in row))
+    for row in gram:
+        print("  " + " ".join(f"{v:>10.6g}" for v in row))
     print("spectrum: " + " ".join(_human_num(v) for v in report.spectrum.probs))
     print(f"verdict: {report.verdict}")
     print(f"{'alpha':<8}{'S_quantum':<14}H_classical")

@@ -8,8 +8,11 @@ recursion
 
     G[s, s'] = sum_x sqrt(P(x|s) P(x|s')) G[f(s, x), f(s', x)],
 
-after which the states are any vectors realizing G and the Kraus operators
-the least-squares solutions of K S = S'_x on the state span.  The memory
+solved by Anderson acceleration over the overlaps above the diagonal until
+the recursion's residual max|Phi(G) - G| is below ``STEP_TOL``; a residual
+that is not finite, or the iteration cap, raises ``NoConvergenceError``.
+The states are then any vectors realizing G and the Kraus operators the
+least-squares solutions of K S = S'_x on the state span.  The memory
 cost of a model is the Renyi entropy of the eigenvalue spectrum of its
 stationary density matrix, which always majorizes the stationary state of
 the classical read-off; that read-off is found when a model is validated.
@@ -59,6 +62,7 @@ from .tolerances import EIG_TOL, EQUAL_TOL, STEP_TOL, ZERO_TOL
 log = logging.getLogger(__name__)
 
 GRAM_MAX_ITER = 100_000
+ANDERSON_DEPTH = 8  # past residuals the overlap solve mixes
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +187,20 @@ def _walk_images(q: PureStateQuantumModel) -> tuple[np.ndarray, np.ndarray, str 
 def gram_fixed_point(m: FinitePredictiveModel, init: np.ndarray | None = None) -> np.ndarray:
     """Fixed point of the state-overlap recursion, diagonal pinned to one.
 
-    Iterates from the identity (or ``init``) until the largest entry update
-    drops below ``STEP_TOL``.  Well-defined for any unifilar input; minimality
-    is only needed for the result to define a faithful quantum model, so a
-    non-minimal input just earns a warning.  Its refinement stays because it is
-    the only signal: ``biased_coin_split(0.6, "c")`` is not minimal, yet its
-    fixed point is the identity and its model reads off unambiguously.
+    With the diagonal pinned, the recursion maps the n(n-1)/2 overlaps above
+    the diagonal affinely onto themselves; Anderson acceleration (type II,
+    depth ``ANDERSON_DEPTH``) solves that map from the identity, or from the
+    upper triangle of ``init``.  It stops once the recursion's own residual,
+    the largest entry of Phi(G) - G, is below ``STEP_TOL``, and returns Phi(G)
+    symmetrized with a unit diagonal.  A residual that is not finite, or no
+    convergence within ``GRAM_MAX_ITER`` iterations, raises
+    ``NoConvergenceError``.
+
+    Well-defined for any unifilar input; minimality is only needed for the
+    result to define a faithful quantum model, so a non-minimal input just
+    earns a warning.  Its refinement stays because it is the only signal:
+    ``biased_coin_split(0.6, "c")`` is not minimal, yet its fixed point is the
+    identity and its model reads off unambiguously.
     """
     if not is_epsilon_machine(m):
         warnings.warn(
@@ -197,20 +209,47 @@ def gram_fixed_point(m: FinitePredictiveModel, init: np.ndarray | None = None) -
             stacklevel=2,
         )
     n = len(m.states)
-    roots = np.sqrt(m.probs)
+    rows, cols = np.triu_indices(n, 1)
+    size = rows.size
+    # slot of each overlap in [upper overlaps..., 1.0]; the diagonal reads the pinned 1.0
+    slot = np.full((n, n), size)
+    slot[rows, cols] = slot[cols, rows] = np.arange(size)
     mapped = np.where(m.probs > ZERO_TOL, m.succ, 0)
-    terms = [(np.outer(w, w), np.ix_(col, col)) for w, col in zip(roots.T, mapped.T)]
-    gram = np.eye(n) if init is None else np.array(init, dtype=float)
+    gather = slot[mapped[rows].T, mapped[cols].T]  # k x size
+    roots = np.sqrt(m.probs)
+    weights = roots[rows].T * roots[cols].T
+    padded, terms = np.ones(size + 1), np.empty_like(weights)
+    depth = min(ANDERSON_DEPTH, size)
+    d_res, d_img = np.empty((depth, size)), np.empty((depth, size))
+    x = np.zeros(size) if init is None else np.array(init, dtype=float)[rows, cols]
     for iteration in range(1, GRAM_MAX_ITER + 1):
-        nxt = np.zeros_like(gram)
-        for w_outer, pairs in terms:
-            nxt += w_outer * gram[pairs]
-        np.fill_diagonal(nxt, 1.0)
-        delta = np.max(np.abs(nxt - gram))
-        gram = nxt
-        if delta < STEP_TOL:
+        padded[:size] = x
+        np.take(padded, gather, out=terms)
+        np.multiply(terms, weights, out=terms)
+        img = terms.sum(axis=0)
+        res = img - x
+        r = np.max(np.abs(res), initial=0.0)
+        if not np.isfinite(r):
+            raise NoConvergenceError(
+                f"overlap recursion residual is not finite ({r}) at iteration {iteration}"
+            )
+        if r < STEP_TOL:
             log.debug("overlap recursion converged in %d iterations", iteration)
+            gram = np.eye(n)
+            gram[rows, cols] = gram[cols, rows] = img
             return gram
+        if iteration == 1:
+            x = img
+        else:
+            newest = (iteration - 2) % depth  # overwrites the oldest difference
+            np.subtract(res, res_prev, out=d_res[newest])
+            np.subtract(img, img_prev, out=d_img[newest])
+            used = min(iteration - 1, depth)
+            hist = d_res[:used]
+            # coef minimizes |res - coef @ hist|, solved on the used x used normal equations
+            coef = np.linalg.lstsq(hist @ hist.T, hist @ res, rcond=None)[0]
+            x = img - coef @ d_img[:used]
+        res_prev, img_prev = res, img
     raise NoConvergenceError(f"overlap recursion not converged after {GRAM_MAX_ITER} iterations")
 
 

@@ -156,6 +156,7 @@ GOLDEN_COMMANDS = {
     "wordprob_even_odd_6.csv": ["wordprob", "even_odd:0.5", "--max-len", "6", "--format", "csv"],
     "export_mbw4.hmm": ["export", "--process", "mbw4"],
     "qmachine_mbw3.txt": ["qmachine", "--process", "mbw3"],
+    "qmachine_even_odd.txt": ["qmachine", "--process", "even_odd"],
     "epsilonize_even_odd_split.txt": ["epsilonize", "even_odd_split:0.5"],
     "counterexample_150.csv": ["counterexample", "--grid", "150", "--format", "csv"],
 }
