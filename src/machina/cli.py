@@ -278,9 +278,6 @@ def cmd_qmachine(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.grid < 100:
-        print("error: --grid must be at least 100", file=sys.stderr)
-        return 2
     report = counterexample_report(args.grid)
     if args.format == "csv":
         print(sweep_csv(report.sweep), end="")

@@ -184,17 +184,16 @@ def _walk_images(q: PureStateQuantumModel) -> tuple[np.ndarray, np.ndarray, str 
 
 # -------------------------------------------------------- overlap recursion
 
-def gram_fixed_point(m: FinitePredictiveModel, init: np.ndarray | None = None) -> np.ndarray:
+def gram_fixed_point(m: FinitePredictiveModel) -> np.ndarray:
     """Fixed point of the state-overlap recursion, diagonal pinned to one.
 
     With the diagonal pinned, the recursion maps the n(n-1)/2 overlaps above
     the diagonal affinely onto themselves; Anderson acceleration (type II,
-    depth ``ANDERSON_DEPTH``) solves that map from the identity, or from the
-    upper triangle of ``init``.  It stops once the recursion's own residual,
-    the largest entry of Phi(G) - G, is below ``STEP_TOL``, and returns Phi(G)
-    symmetrized with a unit diagonal.  A residual that is not finite, or no
-    convergence within ``GRAM_MAX_ITER`` iterations, raises
-    ``NoConvergenceError``.
+    depth ``ANDERSON_DEPTH``) solves that map from the identity.  It stops
+    once the recursion's own residual, the largest entry of Phi(G) - G, is
+    below ``STEP_TOL``, and returns Phi(G) symmetrized with a unit diagonal.
+    A residual that is not finite, or no convergence within
+    ``GRAM_MAX_ITER`` iterations, raises ``NoConvergenceError``.
 
     Well-defined for any unifilar input; minimality is only needed for the
     result to define a faithful quantum model, so a non-minimal input just
@@ -221,7 +220,7 @@ def gram_fixed_point(m: FinitePredictiveModel, init: np.ndarray | None = None) -
     padded, terms = np.ones(size + 1), np.empty_like(weights)
     depth = min(ANDERSON_DEPTH, size)
     d_res, d_img = np.empty((depth, size)), np.empty((depth, size))
-    x = np.zeros(size) if init is None else np.array(init, dtype=float)[rows, cols]
+    x = np.zeros(size)
     for iteration in range(1, GRAM_MAX_ITER + 1):
         padded[:size] = x
         np.take(padded, gather, out=terms)

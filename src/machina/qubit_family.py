@@ -19,11 +19,14 @@ which equals one only at theta = +-pi.  The frame also picks up an
 off-diagonal defect sum_x <0|eps_x><eps_x|1> away from +-pi; both are
 reported, and both vanish only at the single physical point, which is the
 explicit model d3.
+
+The family is written once, on arrays: ``candidate`` takes one angle or an
+array of angles, and every function below works over the leading angle
+axes, so a spot check at one angle runs the same code as the sweep.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,25 +50,27 @@ ZERO_THRESHOLD = 1e-6
 
 _STAY = math.sqrt(2.0 / 3.0)
 _HOP = 1.0 / math.sqrt(6.0)
+_MAGNITUDES = np.full((3, 3), 1.0 / 6.0) + np.eye(3) / 2.0
+_BLOCK = 256  # angles per sweep step; bounds the sweep's temporary arrays
 
 
 @dataclass(frozen=True, eq=False)
 class CandidateModel2D:
-    """One gauge-fixed qubit candidate for the three-state chain."""
+    """Gauge-fixed qubit candidates; every field leads with the shape of ``theta``."""
 
-    theta: float
-    alpha: float
-    beta: float
-    phi1: float
-    phi2: float
-    phi3: float
-    states: tuple[tuple[complex, complex], ...]  # eta_A, eta_B, eta_C
-    duals: tuple[tuple[complex, complex], ...]   # (<eps_x|0>, <eps_x|1>) per x
+    theta: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+    phi3: np.ndarray
+    states: np.ndarray  # ...x3x2: eta_A, eta_B, eta_C
+    duals: np.ndarray   # ...x3x2: (<eps_x|0>, <eps_x|1>) per x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompletenessCheck:
-    """How far the dual frame is from resolving the identity.
+    """How far the dual frame is from resolving the identity, per angle.
 
     ``residual`` is the diagonal defect max_i |(M - I)_{ii}| of
     M = sum_x |eps_x><eps_x|; it coincides with ``analytic`` (the closed
@@ -74,46 +79,51 @@ class CompletenessCheck:
     exactly when the candidate is a valid model.
     """
 
-    residual: float
-    analytic: float
-    offdiag: float
-    operator: float
+    residual: np.ndarray
+    analytic: np.ndarray
+    offdiag: np.ndarray
+    operator: np.ndarray
 
 
-def candidate(theta: float) -> CandidateModel2D:
-    """Build the candidate at phase angle ``theta``.
+def _first(mask: np.ndarray, theta: np.ndarray) -> float | None:
+    hits = np.flatnonzero(mask)
+    return float(theta.flat[hits[0]]) if hits.size else None
 
-    Raises UnphysicalThetaError inside (-pi/3, pi/3) where the overlap
-    parameter would exceed one, and SingularThetaError within 1e-6 of the
-    band edge where beta vanishes and the duals blow up.
+
+def candidate(theta: float | np.ndarray) -> CandidateModel2D:
+    """Build the candidates at phase angle(s) ``theta``, a float or an array.
+
+    Raises ValueError outside [-pi, pi] (NaN included), UnphysicalThetaError
+    inside (-pi/3, pi/3) where the overlap parameter would exceed one, and
+    SingularThetaError within 1e-6 of the band edge where beta vanishes and
+    the duals blow up; each names the first offending angle.
     """
-    if not (-math.pi <= theta <= math.pi):
-        raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
-    if abs(theta) < PHYSICAL_MIN:
+    theta = np.asarray(theta, dtype=float)
+    if (bad := _first(~(np.abs(theta) <= math.pi), theta)) is not None:
+        raise ValueError(f"theta must lie in [-pi, pi], got {bad}")
+    if (bad := _first(np.abs(theta) < PHYSICAL_MIN, theta)) is not None:
         raise UnphysicalThetaError(
-            f"theta {theta:.6g} gives overlap parameter > 1; need |theta| >= pi/3"
+            f"theta {bad:.6g} gives overlap parameter > 1; need |theta| >= pi/3"
         )
-    if abs(theta) - PHYSICAL_MIN < SINGULAR_MARGIN:
-        raise SingularThetaError(f"theta {theta:.6g} too close to the band edge")
-    alpha = 0.5 * abs(1.0 / math.sin(theta / 2.0))
-    beta = math.sqrt(1.0 - alpha * alpha)
+    if (bad := _first(np.abs(theta) - PHYSICAL_MIN < SINGULAR_MARGIN, theta)) is not None:
+        raise SingularThetaError(f"theta {bad:.6g} too close to the band edge")
+    alpha = 0.5 * np.abs(1.0 / np.sin(theta / 2.0))
+    beta = np.sqrt(1.0 - alpha * alpha)
     phi2 = theta
-    phi3 = (-theta + math.copysign(math.pi, theta)) / 2.0
+    phi3 = (-theta + np.copysign(math.pi, theta)) / 2.0
     phi1 = math.pi - phi2 - phi3
-    eta_a = (1.0 + 0.0j, 0.0j)
-    eta_b = (complex(alpha), complex(beta))
-    eta_c = (complex(alpha), cmath.exp(1j * theta) * beta)
-    duals = (
-        (complex(_STAY), (_STAY / beta) * (0.5 * cmath.exp(1j * phi1) - alpha)),
-        (
-            _HOP * cmath.exp(-1j * phi1),
-            (_STAY / beta) * (1.0 - 0.5 * alpha * cmath.exp(-1j * phi1)),
-        ),
-        (
-            _HOP * cmath.exp(1j * phi3),
-            (_STAY / (2.0 * beta)) * (cmath.exp(-1j * phi2) - alpha * cmath.exp(1j * phi3)),
-        ),
-    )
+    states = np.zeros(theta.shape + (3, 2), dtype=complex)
+    states[..., 0, 0] = 1.0
+    states[..., 1:, 0] = alpha[..., None]
+    states[..., 1, 1] = beta
+    states[..., 2, 1] = np.exp(1j * theta) * beta
+    duals = np.empty_like(states)
+    duals[..., 0, 0] = _STAY
+    duals[..., 0, 1] = (_STAY / beta) * (0.5 * np.exp(1j * phi1) - alpha)
+    duals[..., 1, 0] = _HOP * np.exp(-1j * phi1)
+    duals[..., 1, 1] = (_STAY / beta) * (1.0 - 0.5 * alpha * np.exp(-1j * phi1))
+    duals[..., 2, 0] = _HOP * np.exp(1j * phi3)
+    duals[..., 2, 1] = (_STAY / (2.0 * beta)) * (np.exp(-1j * phi2) - alpha * np.exp(1j * phi3))
     model = CandidateModel2D(
         theta=theta,
         alpha=alpha,
@@ -121,79 +131,62 @@ def candidate(theta: float) -> CandidateModel2D:
         phi1=phi1,
         phi2=phi2,
         phi3=phi3,
-        states=(eta_a, eta_b, eta_c),
+        states=states,
         duals=duals,
     )
-    worst = _magnitude_defect(model)
+    worst = np.max(np.abs(transition_magnitudes(model) - _MAGNITUDES))
     if worst > EQUAL_TOL:
         raise MachinaError(f"internal: transition magnitudes off by {worst:.3g}")
     return model
 
 
 def transition_magnitudes(c: CandidateModel2D) -> np.ndarray:
-    """|<eps_x|eta_y>|^2 table; 2/3 on the diagonal, 1/6 off, for every theta."""
-    out = np.empty((3, 3))
-    for i, (u, v) in enumerate(c.duals):
-        for j, (e0, e1) in enumerate(c.states):
-            out[i, j] = abs(u * e0 + v * e1) ** 2
-    return out
+    """|<eps_x|eta_y>|^2 tables (...x3x3); 2/3 on the diagonal, 1/6 off, for every theta."""
+    amplitudes = (c.duals[..., :, None, :] * c.states[..., None, :, :]).sum(axis=-1)
+    return np.abs(amplitudes) ** 2
 
 
-def _magnitude_defect(c: CandidateModel2D) -> float:
-    table = transition_magnitudes(c)
-    target = np.full((3, 3), 1.0 / 6.0) + np.eye(3) / 2.0
-    return float(np.max(np.abs(table - target)))
-
-
-def phase_constraint_residual(c: CandidateModel2D) -> float:
+def phase_constraint_residual(c: CandidateModel2D) -> np.ndarray:
     """Cancellation expression for the degenerate transition-amplitude matrix.
 
     Evaluates |8 + e^{i(phi1+phi2+phi3)} + e^{-i(phi1+phi2+phi3)} - 2*3|,
     which the phase budget drives to zero at machine precision.
     """
     total = c.phi1 + c.phi2 + c.phi3
-    value = 8.0 + cmath.exp(1j * total) + cmath.exp(-1j * total) - 2.0 * 3.0
-    return abs(value)
+    return np.abs(8.0 + np.exp(1j * total) + np.exp(-1j * total) - 2.0 * 3.0)
 
 
 def completeness_matrix(c: CandidateModel2D) -> np.ndarray:
-    """Frame operator of the duals, sum_x |eps_x><eps_x|."""
-    acc = np.zeros((2, 2), dtype=complex)
-    for u, v in c.duals:
-        ket = np.array([u, v]).conj()
-        acc += np.outer(ket, ket.conj())
-    return acc
+    """Frame operators of the duals, sum_x |eps_x><eps_x| (...x2x2)."""
+    ket = c.duals.conj()
+    # summed over x in order, so each angle's bytes match a sum of outer products
+    return (ket[..., :, None] * ket.conj()[..., None, :]).sum(axis=-3)
 
 
-def analytic_residual(theta: float) -> float:
+def analytic_residual(theta: float | np.ndarray) -> float | np.ndarray:
     """Closed form for the |1>-weight defect of the dual frame."""
-    csc2 = 1.0 / math.sin(theta / 2.0) ** 2
+    csc2 = 1.0 / np.sin(theta / 2.0) ** 2
     return (2.0 + csc2) / (4.0 - csc2) - 1.0
 
 
 def frame_residual(c: CandidateModel2D) -> CompletenessCheck:
-    """Defects of the dual frame operator from the identity, see :class:`CompletenessCheck`."""
-    defect = completeness_matrix(c) - np.eye(2)
-    diag = float(np.max(np.abs(np.diag(defect))))
-    off = float(abs(defect[0, 1]))
-    operator = float(np.max(np.sum(np.abs(defect), axis=1)))
+    """Defects of the dual frame operators from the identity, see :class:`CompletenessCheck`."""
+    defect = np.abs(completeness_matrix(c) - np.eye(2))
     return CompletenessCheck(
-        residual=diag,
+        residual=np.max(np.diagonal(defect, axis1=-2, axis2=-1), axis=-1),
         analytic=analytic_residual(c.theta),
-        offdiag=off,
-        operator=operator,
+        offdiag=defect[..., 0, 1],
+        operator=np.max(defect.sum(axis=-1), axis=-1),
     )
 
 
 def as_quantum_model(c: CandidateModel2D) -> PureStateQuantumModel:
-    """Promote a candidate to a full model; only theta = +-pi passes validation."""
-    states = np.array(c.states, dtype=complex).T
+    """Promote a one-angle candidate to a full model; only theta = +-pi passes validation."""
+    if c.theta.ndim:
+        raise ValueError(f"expected a one-angle candidate, got angles of shape {c.theta.shape}")
+    states = c.states.T
     labels = ("A", "B", "C")
-    kraus = {}
-    for x, (u, v), col in zip(labels, c.duals, range(3)):
-        ket = states[:, col]
-        bra = np.array([u, v])
-        kraus[x] = np.outer(ket, bra)
+    kraus = {x: np.outer(states[:, i], c.duals[i]) for i, x in enumerate(labels)}
     return PureStateQuantumModel(dim=2, labels=labels, states=states, alphabet=labels, kraus=kraus)
 
 
@@ -226,10 +219,11 @@ def uniqueness_sweep(grid_size: int = 10_000) -> SweepReport:
     thetas = np.concatenate([-pos[::-1], pos])
     residuals = np.empty_like(thetas)
     analytic = np.empty_like(thetas)
-    for i, th in enumerate(thetas):
-        check = frame_residual(candidate(float(th)))
-        residuals[i] = check.residual
-        analytic[i] = check.analytic
+    for start in range(0, thetas.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        check = frame_residual(candidate(thetas[block]))
+        residuals[block] = check.residual
+        analytic[block] = check.analytic
     flat_zone = math.sqrt(6.0 * ZERO_THRESHOLD) + spacing
     near_endpoint = np.abs(np.abs(thetas) - math.pi) <= flat_zone
     offenders = np.flatnonzero((residuals <= ZERO_THRESHOLD) & ~near_endpoint)

@@ -1,4 +1,5 @@
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,14 @@ def test_counterexample_csv_table(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "theta,matrix_residual,analytic_residual"
     assert len(lines) == 1 + 300
+
+
+def test_counterexample_default_grid_csv_digest(capsys):
+    """The 20,000-row table at the default grid, pinned by digest instead of a golden file."""
+    code, out, _ = run(capsys, "counterexample", "--format", "csv")
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "428d4b5c03cce7dcce62f80c0c4ff7364bb2591e9b21c23782dffd2593ee4caa"
 
 
 # ---------------------------------------------------------------- wordprob

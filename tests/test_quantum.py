@@ -87,14 +87,6 @@ def test_gram_fixed_point_single_state():
     assert np.allclose(gram_fixed_point(biased_coin(0.6)), [[1.0]])
 
 
-@pytest.mark.parametrize("model", [mbw3(), mbw4(), even_odd(0.5)])
-def test_gram_initialization_independence(model):
-    n = len(model.states)
-    from_identity = gram_fixed_point(model)
-    from_ones = gram_fixed_point(model, init=np.ones((n, n)))
-    assert np.max(np.abs(from_identity - from_ones)) < 1e-10
-
-
 def test_gram_warns_on_redundant_input():
     with pytest.warns(UserWarning, match="equivalent states"):
         gram_fixed_point(biased_coin_split(0.6, "b"))

@@ -68,8 +68,18 @@ def test_band_edge_is_singular():
 
 
 def test_theta_outside_range():
-    with pytest.raises(ValueError):
-        candidate(4.0)
+    for theta in (4.0, math.nan):
+        with pytest.raises(ValueError):
+            candidate(theta)
+
+
+def test_array_input_checks_every_angle():
+    with pytest.raises(UnphysicalThetaError, match="theta 0.1 "):
+        candidate(np.array([2.0, 0.1]))
+    with pytest.raises(ValueError, match="got nan"):
+        candidate(np.array([2.0, np.nan]))
+    with pytest.raises(ValueError, match="one-angle candidate"):
+        as_quantum_model(candidate(np.array([3.0, math.pi])))
 
 
 def test_phase_budget_sums_to_pi():
@@ -185,14 +195,12 @@ def test_spurious_interior_zero_is_detected(monkeypatch):
 
     def leaky(c):
         check = real(c)
-        if abs(c.theta - 2.0) < 0.01:
-            return qf.CompletenessCheck(
-                residual=0.0,
-                analytic=check.analytic,
-                offdiag=check.offdiag,
-                operator=check.operator,
-            )
-        return check
+        return qf.CompletenessCheck(
+            residual=np.where(np.abs(c.theta - 2.0) < 0.01, 0.0, check.residual),
+            analytic=check.analytic,
+            offdiag=check.offdiag,
+            operator=check.operator,
+        )
 
     monkeypatch.setattr(qf, "frame_residual", leaky)
     with pytest.raises(UniquenessViolatedError):
