@@ -58,7 +58,7 @@ from .qubit_family import counterexample_report, sweep_csv
 from .tolerances import ZERO_TOL
 
 _USAGE_ERRORS = (
-    FileNotFoundError,
+    OSError,
     ModelFormatError,
     UnknownStateError,
     UnknownSymbolError,

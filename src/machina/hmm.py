@@ -7,12 +7,11 @@ layout: the transition table maps (state, symbol) to a single successor.
 The summed transition matrix must be row-stochastic and its positive part
 strongly connected.
 
-Alongside the dict, each model carries one index view of the same table,
-built once at construction: the read-only n x k arrays ``probs`` (emission
-probability of symbol j in state i) and ``succ`` (the successor's index, -1
-where there is no transition).  Symbol matrices, partition refinement and
-the quantum overlap recursion read these arrays rather than re-deriving the
-state numbering from the dict.
+The name-keyed dict ``trans`` is the validated constructor input, and it
+stays as the name-keyed view behind ``prob``, ``successor`` and pickling.
+Construction turns it into the one table that every algorithm reads: the
+read-only n x k arrays ``probs`` (emission probability of symbol j in state
+i) and ``succ`` (the successor's index, -1 where there is no transition).
 
 Word probabilities go through a linear representation (start, ops, final):
 the probability of x1..xk is final(start @ ops[x1] @ ... @ ops[xk]).  An
@@ -79,7 +78,6 @@ class FinitePredictiveModel:
         cleaned: dict[tuple[str, str], tuple[float, str]] = {}
         probs = np.zeros((len(states), len(alphabet)))
         succ = np.full((len(states), len(alphabet)), -1)
-        rows = [0.0] * len(states)  # emitted probability per state
         for (s, x), (p, nxt) in self.trans.items():
             if s not in index:
                 raise UnknownStateError(f"transition from undeclared state {s!r}")
@@ -94,7 +92,6 @@ class FinitePredictiveModel:
             cleaned[(s, x)] = (p, nxt)
             i, j = index[s], column[x]
             probs[i, j], succ[i, j] = p, index[nxt]
-            rows[i] += p
         probs.setflags(write=False)
         succ.setflags(write=False)
         object.__setattr__(self, "states", states)
@@ -102,7 +99,7 @@ class FinitePredictiveModel:
         object.__setattr__(self, "trans", MappingProxyType(cleaned))
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "succ", succ)
-        for s, row in zip(states, rows):
+        for s, row in zip(states, probs.sum(axis=1).tolist()):
             if not abs(row - 1.0) <= EQUAL_TOL:
                 raise NotStochasticError(f"state {s!r} emits total probability {row:.12g}")
         self._check_irreducible()
@@ -112,25 +109,23 @@ class FinitePredictiveModel:
         return FinitePredictiveModel, (self.states, self.alphabet, dict(self.trans))
 
     def _check_irreducible(self):
-        fwd = {s: set() for s in self.states}
-        bwd = {s: set() for s in self.states}
-        for (s, _), (p, succ) in self.trans.items():
-            if p > ZERO_TOL:
-                fwd[s].add(succ)
-                bwd[succ].add(s)
-        root = self.states[0]
-        for graph in (fwd, bwd):
-            seen = {root}
-            stack = [root]
+        # every state reachable from the first one, forward and then backward
+        live = self.probs > ZERO_TOL
+        heads, tails = np.nonzero(live)[0].tolist(), self.succ[live].tolist()
+        for src, dst in ((heads, tails), (tails, heads)):
+            graph: list[list[int]] = [[] for _ in self.states]
+            for i, j in zip(src, dst):
+                graph[i].append(j)
+            seen, stack = {0}, [0]
             while stack:
-                for nxt in graph[stack.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
+                for j in graph[stack.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
             if len(seen) != len(self.states):
-                missing = sorted(set(self.states) - seen)
+                missing = min(s for i, s in enumerate(self.states) if i not in seen)
                 raise NotIrreducibleError(
-                    f"positive-transition graph not strongly connected (e.g. {missing[0]!r})"
+                    f"positive-transition graph not strongly connected (e.g. {missing!r})"
                 )
 
     # -- convenience views -------------------------------------------------
@@ -144,9 +139,6 @@ class FinitePredictiveModel:
         if entry is None or entry[0] <= ZERO_TOL:
             return None
         return entry[1]
-
-    def state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.states)}
 
     def symbol_matrix(self, symbol: str) -> np.ndarray:
         """Transition matrix for one symbol: T[i, j] = P(symbol | i) if j follows."""
@@ -164,17 +156,16 @@ class FinitePredictiveModel:
             vec = stationary(self).probs
         elif start in self.states:
             vec = np.zeros(len(self.states))
-            vec[self.state_index()[start]] = 1.0
+            vec[self.states.index(start)] = 1.0
         else:
             raise UnknownStateError(f"unknown start state {start!r}")
         ops = {x: self.symbol_matrix(x) for x in self.alphabet}
         return LinearRep(vec, ops, np.ndarray.sum)
 
     def total_matrix(self) -> np.ndarray:
-        idx = self.state_index()
+        rows, cols = np.nonzero(self.succ >= 0)
         mat = np.zeros((len(self.states), len(self.states)))
-        for (s, _), (p, succ) in self.trans.items():
-            mat[idx[s], idx[succ]] += p
+        np.add.at(mat, (rows, self.succ[rows, cols]), self.probs[rows, cols])
         return mat
 
 
@@ -182,16 +173,12 @@ def models_equal(a: FinitePredictiveModel, b: FinitePredictiveModel) -> bool:
     """Structural equality: same names, same topology, probabilities within ``EQUAL_TOL``."""
     if a.states != b.states or a.alphabet != b.alphabet:
         return False
-    keys_a = {k for k, (p, _) in a.trans.items() if p > ZERO_TOL}
-    keys_b = {k for k, (p, _) in b.trans.items() if p > ZERO_TOL}
-    if keys_a != keys_b:
-        return False
-    for key in keys_a:
-        pa, sa = a.trans[key]
-        pb, sb = b.trans[key]
-        if sa != sb or abs(pa - pb) > EQUAL_TOL:
-            return False
-    return True
+    live = a.probs > ZERO_TOL
+    return (
+        np.array_equal(live, b.probs > ZERO_TOL)
+        and np.array_equal(a.succ[live], b.succ[live])
+        and float(np.max(np.abs(a.probs - b.probs))) <= EQUAL_TOL
+    )
 
 
 def stationary(m: FinitePredictiveModel) -> Distribution:
@@ -331,30 +318,29 @@ def split_state(
     if set(names) & (set(m.states) - {target}):
         raise ValueError("copy names collide with existing states")
 
-    def routed(s: str, x: str) -> str:
-        return names[router[(s, x)]]
-
     new_states: list[str] = []
     for s in m.states:
         new_states.extend(names if s == target else (s,))
     new_trans: dict[tuple[str, str], tuple[float, str]] = {}
-    for (s, x), (p, succ) in m.trans.items():
-        if p <= ZERO_TOL:
-            continue
-        if s == target:
-            succ2 = routed(target, x) if succ == target else succ
-            for copy in names:
-                new_trans[(copy, x)] = (p, succ2)
-        else:
-            new_trans[(s, x)] = (p, routed(s, x) if succ == target else succ)
+    for i, j, p, t in _live_transitions(m):
+        s, x, succ = m.states[i], m.alphabet[j], m.states[t]
+        for copy in names if s == target else (s,):
+            new_trans[(copy, x)] = (p, names[router[(s, x)]] if succ == target else succ)
     return FinitePredictiveModel(tuple(new_states), m.alphabet, new_trans)
 
 
 def _incoming(m: FinitePredictiveModel, target: str) -> list[tuple[str, str]]:
     """The (state, symbol) pairs of the positive transitions into ``target``, sorted."""
-    return sorted(
-        (s, x) for (s, x), (p, succ) in m.trans.items() if succ == target and p > ZERO_TOL
-    )
+    k = m.states.index(target)
+    return sorted((m.states[i], m.alphabet[j]) for i, j, _, t in _live_transitions(m) if t == k)
+
+
+def _live_transitions(m: FinitePredictiveModel):
+    """Each positive transition as (i, j, p, t), row by row: state i emits symbol j
+    with probability p and moves to state t."""
+    rows, cols = np.nonzero(m.probs > ZERO_TOL)
+    return zip(rows.tolist(), cols.tolist(), m.probs[rows, cols].tolist(),
+               m.succ[rows, cols].tolist())
 
 
 # ---------------------------------------------------------------- file format
@@ -410,7 +396,8 @@ def parse_model(text: str) -> FinitePredictiveModel:
             if states is not None:
                 raise ModelFormatError("duplicate states line", lineno)
             states = tuple(rest.split())
-            if not states or len(set(states)) != len(states):
+            declared = set(states)
+            if not states or len(declared) != len(states):
                 raise ModelFormatError("states must list distinct labels", lineno)
         elif head == "t":
             if kind is None or alphabet is None or states is None:
@@ -419,9 +406,9 @@ def parse_model(text: str) -> FinitePredictiveModel:
             if len(fields) != 4:
                 raise ModelFormatError("expected 't: FROM SYMBOL PROB TO'", lineno)
             src, sym, prob_tok, dst = fields
-            if src not in states:
+            if src not in declared:
                 raise UnknownStateError(f"line {lineno}: unknown state {src!r}")
-            if dst not in states:
+            if dst not in declared:
                 raise UnknownStateError(f"line {lineno}: unknown state {dst!r}")
             if sym not in alphabet:
                 raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
@@ -455,9 +442,6 @@ def serialize_model(m: FinitePredictiveModel) -> str:
         "alphabet: " + " ".join(m.alphabet),
         "states: " + " ".join(m.states),
     ]
-    for s in m.states:
-        for x in m.alphabet:
-            entry = m.trans.get((s, x))
-            if entry is not None and entry[0] > ZERO_TOL:
-                lines.append(f"t: {s} {x} {_significant(entry[0])} {entry[1]}")
+    for i, j, p, t in _live_transitions(m):
+        lines.append(f"t: {m.states[i]} {m.alphabet[j]} {_significant(p)} {m.states[t]}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,10 @@
 """State merging for unifilar HMMs.
 
 Two states are probabilistically equivalent when they assign the same
-probability to every future word.  Moore-style signature refinement finds
-the coarsest partition whose blocks agree on per-symbol emission
-probabilities and land in a common block after each symbol; merging those
+probability to every future word.  Moore-style signature refinement of the
+model's ``probs``/``succ`` arrays finds the coarsest partition whose blocks
+agree on per-symbol emission probabilities and land in a common block after
+each symbol, and labels each state index with its block; merging those
 blocks yields the minimal machine for the generated process.
 """
 
@@ -20,16 +21,16 @@ from .distributions import (
     compare,
     renyi_entropy,
 )
-from .hmm import FinitePredictiveModel, stationary
+from .hmm import FinitePredictiveModel, _live_transitions, stationary
 from .tolerances import EQUAL_TOL, ZERO_TOL
 
 
 @dataclass(frozen=True, eq=False)
 class StatePartition:
-    """Disjoint blocks covering the state set, plus the index of each state."""
+    """Disjoint blocks covering the state set; ``labels[i]`` is the block of state i."""
 
     blocks: tuple[frozenset[str], ...]
-    block_of: dict[str, int]
+    labels: np.ndarray  # read-only
 
     def block_names(self) -> tuple[str, ...]:
         return tuple(min(block) for block in self.blocks)
@@ -73,9 +74,8 @@ def refine_partition(m: FinitePredictiveModel) -> StatePartition:
     members: list[list[str]] = [[] for _ in range(labels.max() + 1)]
     for s, b in zip(m.states, labels.tolist()):
         members[b].append(s)
-    return StatePartition(
-        blocks=tuple(map(frozenset, members)), block_of=dict(zip(m.states, labels.tolist()))
-    )
+    labels.setflags(write=False)
+    return StatePartition(blocks=tuple(map(frozenset, members)), labels=labels)
 
 
 def is_epsilon_machine(m: FinitePredictiveModel) -> bool:
@@ -95,14 +95,13 @@ def merge(m: FinitePredictiveModel) -> FinitePredictiveModel:
 
 def _quotient(m: FinitePredictiveModel, part: StatePartition) -> FinitePredictiveModel:
     names = part.block_names()
-    trans: dict[tuple[str, str], tuple[float, str]] = {}
-    for block, name in zip(part.blocks, names):
-        rep = min(block)
-        for x in m.alphabet:
-            p = m.prob(rep, x)
-            if p > ZERO_TOL:
-                succ_block = part.block_of[m.successor(rep, x)]
-                trans[(name, x)] = (p, names[succ_block])
+    name_of = [names[b] for b in part.labels.tolist()]
+    # a block takes the row of its smallest member, the one it is named after
+    trans = {
+        (name_of[i], m.alphabet[j]): (p, name_of[t])
+        for i, j, p, t in _live_transitions(m)
+        if m.states[i] == name_of[i]
+    }
     return FinitePredictiveModel(names, m.alphabet, trans)
 
 
@@ -150,35 +149,29 @@ def canonical_encoding(m: FinitePredictiveModel) -> tuple:
     """Relabeling-invariant encoding; equal encodings mean isomorphic machines.
 
     BFS from every state in alphabet order, take the minimal transition table
-    (rounded to the digits of ``EQUAL_TOL``).  For small machines (smoke tests).
+    (rounded to the digits of ``EQUAL_TOL``).  The BFS follows the positive
+    transitions that the irreducibility check follows, so every root reaches
+    every state.  For small machines (smoke tests).
     """
     ndigits = round(-np.log10(EQUAL_TOL))
-    best = None
-    for root in m.states:
+    probs = m.probs.tolist()
+    succ = np.where(m.probs > ZERO_TOL, m.succ, -1).tolist()
+
+    def encode(root: int) -> tuple:
         order = [root]
-        seen = {root}
-        cursor = 0
-        while cursor < len(order):
-            s = order[cursor]
-            cursor += 1
-            for x in m.alphabet:
-                succ = m.successor(s, x)
-                if succ is not None and succ not in seen:
-                    seen.add(succ)
-                    order.append(succ)
-        if len(order) != len(m.states):
-            continue
-        index = {s: i for i, s in enumerate(order)}
-        enc = tuple(
+        index = {root: 0}
+        for s in order:  # grows as the BFS goes
+            for t in succ[s]:
+                if t >= 0 and t not in index:
+                    index[t] = len(order)
+                    order.append(t)
+        return tuple(
             tuple(
-                (x, round(m.prob(s, x), ndigits), index[m.successor(s, x)])
-                for x in m.alphabet
-                if m.prob(s, x) > ZERO_TOL
+                (x, round(p, ndigits), index[t])
+                for x, p, t in zip(m.alphabet, probs[s], succ[s])
+                if t >= 0
             )
             for s in order
         )
-        if best is None or enc < best:
-            best = enc
-    if best is None:
-        raise ValueError("no state reaches the whole machine")
-    return best
+
+    return min(encode(root) for root in range(len(m.states)))

@@ -443,6 +443,8 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
                 raise ModelFormatError(f"expected 'model: quantum', got {rest!r}", lineno)
             kind = rest
         elif head == "dim":
+            if dim is not None:
+                raise ModelFormatError("duplicate dim line", lineno)
             try:
                 dim = int(rest)
             except ValueError as exc:

@@ -49,6 +49,19 @@ def test_validate_missing_file_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "entropy"])
+def test_directory_as_model_exits_two(command, tmp_path, capsys):
+    code, out, err = run(capsys, command, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_path_that_is_a_directory_exits_two(tmp_path, capsys):
+    code, out, err = run(capsys, "export", "--process", "mbw3", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_validate_quantum_file(tmp_path, capsys):
     path = tmp_path / "d3.qm"
     code, _, _ = run(capsys, "export", "--process", "d3", "--out", str(path))

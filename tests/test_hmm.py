@@ -116,6 +116,39 @@ def test_unreachable_state_rejected():
         parse_model(text)
 
 
+@pytest.mark.parametrize(
+    "trans",
+    [
+        # Z and M cannot be reached from A
+        {("A", "0"): (1.0, "A"), ("Z", "0"): (1.0, "A"), ("M", "0"): (1.0, "A")},
+        # Z and M are reached from A but cannot return to it
+        {
+            ("A", "0"): (0.5, "Z"),
+            ("A", "1"): (0.5, "M"),
+            ("Z", "0"): (1.0, "Z"),
+            ("M", "0"): (1.0, "M"),
+        },
+    ],
+    ids=["unreachable", "no-return"],
+)
+def test_irreducibility_error_names_smallest_stranded_state(trans):
+    with pytest.raises(NotIrreducibleError) as info:
+        FinitePredictiveModel(("A", "Z", "M"), ("0", "1"), trans)
+    assert str(info.value) == "positive-transition graph not strongly connected (e.g. 'M')"
+
+
+def _two_state(last_edge):
+    # A -0-> B, B -0-> A, plus one more edge out of A on symbol 1
+    trans = {("A", "0"): (1.0 - last_edge[0], "B"), ("A", "1"): last_edge, ("B", "0"): (1.0, "A")}
+    return FinitePredictiveModel(("A", "B"), ("0", "1"), trans)
+
+
+def test_models_equal_compares_successors_on_live_edges_only():
+    assert not models_equal(_two_state((0.5, "A")), _two_state((0.5, "B")))
+    assert models_equal(_two_state((0.0, "A")), _two_state((0.0, "B")))
+    assert not models_equal(_two_state((0.0, "A")), _two_state((0.5, "A")))
+
+
 def test_serialize_round_trip_structural():
     for m in (mbw3(), mbw4(), even_odd(0.3), biased_coin(0.6)):
         again = parse_model(serialize_model(m))
@@ -265,12 +298,15 @@ def test_index_view_matches_transition_table():
                 p, succ = m.trans.get((s, x), (0.0, None))
                 assert m.probs[i, j] == p
                 assert m.succ[i, j] == (-1 if succ is None else idx[succ])
+        total = np.zeros((len(m.states), len(m.states)))
         for x in m.alphabet:
             ref = np.zeros((len(m.states), len(m.states)))
             for (s, y), (p, succ) in m.trans.items():
                 if y == x:
                     ref[idx[s], idx[succ]] = p
             assert np.array_equal(m.symbol_matrix(x), ref)
+            total += ref  # summed in alphabet order, as total_matrix sums
+        assert np.array_equal(m.total_matrix(), total)
         with pytest.raises(ValueError):
             m.probs[0, 0] = 0.5
 

@@ -25,6 +25,7 @@ from machina.errors import (
     AmbiguousSuccessorError,
     CompletenessViolationError,
     DimensionMismatchError,
+    ModelFormatError,
     NotHermitianError,
     NotPSDError,
     NotUnifilarError,
@@ -283,6 +284,17 @@ def test_qubit_validation_errors_and_their_exit_codes(tmp_path, capsys):
     assert "unifilar: ok" in capsys.readouterr().out
     assert main(["entropy", str(twin)]) == 1
     assert capsys.readouterr().err == f"error: {twins}\n"
+
+
+def test_repeated_dim_line_is_a_parse_error(tmp_path, capsys):
+    for second in ("dim: 3", "dim: 2"):
+        text = HADAMARD_FILE.replace("alphabet:", second + "\nalphabet:")
+        with pytest.raises(ModelFormatError, match="^line 3: duplicate dim line$"):
+            parse_quantum_model(text)
+        path = tmp_path / "twice.qm"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 3: duplicate dim line\n"
 
 
 def test_kraus_images_are_walked_once_per_model(monkeypatch):
