@@ -136,10 +136,11 @@ def _parse_alphas(raw: str | None):
     return tuple(out)
 
 
-def _write_out(path: str, payload: str):
+def _write_out(path: str, payload: str) -> str:
+    """Write ``payload`` to ``path``; return the ``wrote PATH`` line, printed last."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
-    print(f"wrote {path}")
+    return f"wrote {path}\n"
 
 
 def _lorenz_pair(dist_a, dist_b):
@@ -233,6 +234,7 @@ def cmd_epsilonize(args) -> int:
     if not isinstance(model, FinitePredictiveModel):
         raise ValueError("epsilonize expects a classical model")
     report = strong_minimality_report(model)
+    wrote = _write_out(args.out, serialize_model(report.machine)) if args.out else ""
     if report.already_minimal:
         print("already minimal: every state is probabilistically distinct")
     print("blocks:")
@@ -243,8 +245,7 @@ def cmd_epsilonize(args) -> int:
     print(f"{'alpha':<8}{'H_machine':<14}H_model")
     for a, h_machine, h_model in report.entropies:
         print(f"{_format_alpha(a):<8}{_human_num(h_machine):<14}{_human_num(h_model)}")
-    if args.out:
-        _write_out(args.out, serialize_model(report.machine))
+    print(wrote, end="")
     return 0
 
 
@@ -261,6 +262,7 @@ def cmd_qmachine(args) -> int:
     # a non-minimal input collapses equivalent states, so the read-off can be
     # ambiguous; the spectrum still majorizes the input's stationary state
     report = strong_advantage_report(q, pi=None if minimal else stationary(model))
+    wrote = _write_out(args.out, serialize_quantum_model(q)) if args.out else ""
     gram = np.real(q.states.conj().T @ q.states)
     gram[np.abs(gram) <= ZERO_TOL] = 0.0  # rounding noise of the embedding, not an overlap
     print(f"dim: {q.dim}")
@@ -272,8 +274,7 @@ def cmd_qmachine(args) -> int:
     print(f"{'alpha':<8}{'S_quantum':<14}H_classical")
     for a, s_q, h_c in report.entropies:
         print(f"{_format_alpha(a):<8}{_human_num(s_q):<14}{_human_num(h_c)}")
-    if args.out:
-        _write_out(args.out, serialize_quantum_model(q))
+    print(wrote, end="")
     return 0
 
 
@@ -325,10 +326,7 @@ def cmd_export(args) -> int:
     model = get_process(args.process)
     quantum = isinstance(model, PureStateQuantumModel)
     payload = (serialize_quantum_model if quantum else serialize_model)(model)
-    if args.out:
-        _write_out(args.out, payload)
-    else:
-        print(payload, end="")
+    print(_write_out(args.out, payload) if args.out else payload, end="")
     return 0
 
 

@@ -21,6 +21,7 @@ the classical read-off; that read-off is found when a model is validated.
 from __future__ import annotations
 
 import logging
+import re
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -96,6 +97,9 @@ class PureStateQuantumModel:
             raise InvalidModelError("need at least as many labels as dimensions")
         if len(set(labels)) != len(labels) or len(set(alphabet)) != len(alphabet):
             raise InvalidModelError("labels and alphabet must be unique")
+        for x in self.kraus:
+            if x not in alphabet:
+                raise UnknownSymbolError(f"Kraus operator for undeclared symbol {x!r}")
         kraus = {}
         for x in alphabet:
             if x not in self.kraus:
@@ -409,22 +413,17 @@ def quantum_models_equal(a: PureStateQuantumModel, b: PureStateQuantumModel) -> 
 
 # ---------------------------------------------------------------- file format
 
-def _parse_pairs(text: str, lineno: int) -> list[complex]:
-    out = []
-    rest = text.strip()
-    while rest:
-        if not rest.startswith("("):
-            raise ModelFormatError(f"expected '(re,im)', got {rest!r}", lineno)
-        close = rest.find(")")
-        if close < 0:
-            raise ModelFormatError("unterminated complex pair", lineno)
-        body = rest[1:close]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ModelFormatError(f"complex pair needs two entries: ({body})", lineno)
-        out.append(complex(_parse_number(parts[0], lineno), _parse_number(parts[1], lineno)))
-        rest = rest[close + 1 :].strip()
-    return out
+_PAIR = re.compile(r"\(([^(),]*),([^(),]*)\)")
+_KRAUS_ROW = re.compile(r"(?<=\))\s*/")  # a '/' inside an entry is a fraction
+
+
+def _parse_pairs(text: str, lineno: int) -> np.ndarray:
+    pieces = _PAIR.split(text)  # text, re, im, text, re, im, ..., text
+    if stray := [s.strip() for s in pieces[::3] if s.strip()]:
+        raise ModelFormatError(f"expected '(re,im)' pairs, got stray text {stray[0]!r}", lineno)
+    del pieces[::3]
+    # a view keeps a -0 imaginary part, which re + 1j * im would turn into +0
+    return np.array([_parse_number(tok, lineno) for tok in pieces]).view(complex)
 
 
 def parse_quantum_model(text: str) -> PureStateQuantumModel:
@@ -433,7 +432,7 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
     dim: int | None = None
     alphabet: tuple[str, ...] | None = None
     labels: list[str] = []
-    state_cols: list[list[complex]] = []
+    state_cols: list[np.ndarray] = []
     kraus: dict[str, np.ndarray] = {}
     for lineno, head, rest in _directives(text):
         if head == "model":
@@ -482,7 +481,7 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
                 raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
             if sym in kraus:
                 raise ModelFormatError(f"duplicate kraus for {sym!r}", lineno)
-            rows = [_parse_pairs(chunk, lineno) for chunk in body.split("/")]
+            rows = [_parse_pairs(chunk, lineno) for chunk in _KRAUS_ROW.split(body)]
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
             kraus[sym] = np.array(rows, dtype=complex)

@@ -57,9 +57,11 @@ def test_directory_as_model_exits_two(command, tmp_path, capsys):
 
 
 def test_out_path_that_is_a_directory_exits_two(tmp_path, capsys):
-    code, out, err = run(capsys, "export", "--process", "mbw3", "--out", str(tmp_path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # the file is written before the report, so a failed write prints no report
+    for argv in (("export", "--process"), ("epsilonize",), ("qmachine", "--process")):
+        code, out, err = run(capsys, *argv, "mbw3", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_validate_quantum_file(tmp_path, capsys):

@@ -29,6 +29,7 @@ from machina.errors import (
     NotHermitianError,
     NotPSDError,
     NotUnifilarError,
+    UnknownSymbolError,
 )
 from machina.hmm import models_equal, stationary, word_distribution
 from machina.minimize import merge
@@ -401,11 +402,54 @@ def test_orthonormal_states_give_equivalent_verdict():
 
 # ---------------------------------------------------------------- file format
 
-@pytest.mark.parametrize("factory", [d3, d4, q3])
+@pytest.mark.parametrize("factory", [d3, d4, q3, q4])
 def test_quantum_file_round_trip(factory):
     q = factory()
-    again = parse_quantum_model(serialize_quantum_model(q))
+    text = serialize_quantum_model(q)
+    again = parse_quantum_model(text)
     assert quantum_models_equal(q, again)
+    assert serialize_quantum_model(again) == text  # d3 and d4 carry -0 imaginary parts
+
+
+SWAP_FILE = QUBIT_HEAD + (
+    "state: A  (1,0) (0,0)\nstate: B  (0,0) (1,0)\nkraus: 0  (0,0) (1,0) / (1,0) (0,0)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line, body, stray",
+    [
+        ("state: A", "(1,0)(0,0)", None),
+        ("state: A", "( 1 , 0 ) (0,0)", None),
+        ("kraus: 0", "(0,0) (2/2,0) / (1,0) (0/1,0)", None),
+        ("state: A", "(1,0) (0,0) junk", "junk"),
+        ("state: A", "(1,0,0) (0,0)", "(1,0,0)"),
+        ("kraus: 0", "(0,0) (1,0) / (1,0) (0,0", "(0,0"),
+        ("state: A", "1 0 0 0", "1 0 0 0"),
+    ],
+    ids=["adjacent", "blanks", "kraus-fraction", "trailing", "three-entries", "unterminated", "bare"],
+)
+def test_state_and_kraus_lines_share_one_pair_grammar(tmp_path, capsys, line, body, stray):
+    lineno = 6 if line.startswith("kraus") else 4
+    text = re.sub(f"^{line} .*$", f"{line}  {body}", SWAP_FILE, flags=re.M)
+    path = tmp_path / "swap.qm"
+    path.write_text(text)
+    if stray is None:
+        assert quantum_models_equal(parse_quantum_model(text), parse_quantum_model(SWAP_FILE))
+        assert main(["validate", str(path)]) == 0
+        return
+    message = f"line {lineno}: expected '(re,im)' pairs, got stray text {stray!r}"
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+        parse_quantum_model(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_kraus_operator_for_an_undeclared_symbol_is_rejected():
+    states = np.eye(2, dtype=complex)
+    kraus = {"0": np.eye(2, dtype=complex), "Z": np.zeros((2, 2), dtype=complex)}
+    with pytest.raises(UnknownSymbolError, match="^Kraus operator for undeclared symbol 'Z'$"):
+        PureStateQuantumModel(dim=2, labels=("A", "B"), states=states, alphabet=("0",), kraus=kraus)
 
 
 def test_quantum_model_validation_rejects_incompleteness():

@@ -1,0 +1,44 @@
+"""The scripts run end to end, so an API change that breaks one fails here."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LORENZ_TABLES = (
+    "coin_machine_vs_split",
+    "even_odd_vs_split",
+    "mbw4_vs_q4",
+    "q4_vs_d4",
+    "q3_vs_d3",
+    "concentrated_vs_spread",
+    "crossing_pair",
+)
+
+
+def _run_script(name, *argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_lorenz_figures_writes_the_seven_tables(tmp_path):
+    done = _run_script("lorenz_figures.py", "--outdir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.csv" for n in LORENZ_TABLES)
+    for name in LORENZ_TABLES:
+        assert (tmp_path / f"{name}.csv").read_text().startswith("verdict,")
+
+
+def test_qubit_uniqueness_writes_the_sweep(tmp_path):
+    out = tmp_path / "sweep.csv"
+    done = _run_script("qubit_uniqueness.py", "--grid", "200", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "theta,matrix_residual,analytic_residual"
+    assert len(lines) == 1 + 400
