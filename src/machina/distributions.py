@@ -217,23 +217,30 @@ class TransferOp:
     amount: float
 
 
-def apply_transfer(d, op: TransferOp) -> Distribution:
-    """Apply one transfer; legal only while it shrinks the disparity."""
-    d = validate_distribution(d)
+def _transfer(x: np.ndarray, op: TransferOp) -> float:
+    """Check one transfer on ``x``, apply it in place, and return eps / gap.
+
+    Legal only while it shrinks the disparity: distinct in-range indices, the
+    donor above the recipient, and 0 < amount < their gap.
+    """
     i, j, eps = op.donor, op.recipient, op.amount
-    n = len(d)
+    n = len(x)
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise IllegalTransferError(f"bad index pair ({i}, {j}) for length {n}")
-    gap = d.probs[i] - d.probs[j]
+    gap = x[i] - x[j]
     if gap <= 0:
-        raise IllegalTransferError(
-            f"donor entry {d.probs[i]:.6g} does not exceed recipient {d.probs[j]:.6g}"
-        )
+        raise IllegalTransferError(f"donor entry {x[i]:.6g} does not exceed recipient {x[j]:.6g}")
     if not (0.0 < eps < gap):
         raise IllegalTransferError(f"amount {eps:.6g} outside (0, {gap:.6g})")
-    out = d.probs.copy()
-    out[i] -= eps
-    out[j] += eps
+    x[i] -= eps
+    x[j] += eps
+    return eps / gap
+
+
+def apply_transfer(d, op: TransferOp) -> Distribution:
+    """Apply one transfer; legal only while it shrinks the disparity."""
+    out = validate_distribution(d).probs.copy()
+    _transfer(out, op)
     return Distribution(out)
 
 
@@ -268,10 +275,9 @@ def transfer_chain(p, q) -> list[TransferOp]:
         if under.size == 0:
             break
         k = int(under[0])
-        eps = float(min(x[j] - y[j], y[k] - x[k]))
-        x[j] -= eps
-        x[k] += eps
-        ops.append(TransferOp(j, k, eps))
+        op = TransferOp(j, k, float(min(x[j] - y[j], y[k] - x[k])))
+        _transfer(x, op)
+        ops.append(op)
     if np.max(np.abs(x - y)) > LANDING_TOL:
         raise NotComparableError("transfer construction failed to land on target")
     return ops
@@ -279,11 +285,10 @@ def transfer_chain(p, q) -> list[TransferOp]:
 
 def replay_chain(p, ops) -> Distribution:
     """Apply a transfer chain starting from ``p`` sorted descending."""
-    p = validate_distribution(p)
-    cur = Distribution(p.sorted_desc())
+    x = validate_distribution(p).sorted_desc().copy()
     for op in ops:
-        cur = apply_transfer(cur, op)
-    return cur
+        _transfer(x, op)
+    return Distribution(x)
 
 
 def chain_to_doubly_stochastic(ops, start, n: int | None = None) -> np.ndarray:
@@ -296,21 +301,12 @@ def chain_to_doubly_stochastic(ops, start, n: int | None = None) -> np.ndarray:
     start onto the sorted target; every factor is orthostochastic.
     """
     start = validate_distribution(start)
-    if n is None:
-        n = len(start)
-    x = pad_to(start, n).sorted_desc().copy()
-    d_total = np.eye(n)
+    x = pad_to(start, len(start) if n is None else n).sorted_desc().copy()
+    d = np.eye(len(x))
     for op in ops:
-        i, j, eps = op.donor, op.recipient, op.amount
-        gap = x[i] - x[j]
-        if gap <= 0 or not (0.0 < eps < gap):
-            raise IllegalTransferError(
-                f"chain not legal for this start: amount {eps:.6g}, gap {gap:.6g}"
-            )
-        lam = eps / gap
-        t_mat = np.eye(n)
-        t_mat[i, i] = t_mat[j, j] = 1.0 - lam
-        t_mat[i, j] = t_mat[j, i] = lam
-        d_total = t_mat @ d_total
-        x = t_mat @ x
-    return d_total
+        lam = _transfer(x, op)
+        # left-multiplying by the factor mixes rows i and j only
+        mix = lam * (d[op.donor] - d[op.recipient])
+        d[op.donor] -= mix
+        d[op.recipient] += mix
+    return d

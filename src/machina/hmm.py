@@ -346,8 +346,10 @@ def _live_transitions(m: FinitePredictiveModel):
 # ---------------------------------------------------------------- file format
 
 def _parse_number(token: str, lineno: int) -> float:
-    """A decimal or ``a/b`` fraction; anything else, nan and inf included, is an error."""
+    """An ASCII decimal or ``a/b`` fraction; anything else (nan, inf, ``_``) is an error."""
     try:
+        if "_" in token or not token.isascii():
+            raise ValueError(token)  # float() and Fraction() would accept these
         value = float(Fraction(token)) if "/" in token else float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelFormatError(f"bad number {token!r}", lineno) from exc

@@ -406,9 +406,8 @@ def quantum_models_equal(a: PureStateQuantumModel, b: PureStateQuantumModel) -> 
     """Entrywise equality of labels, states, and Kraus operators within ``EQUAL_TOL``."""
     if a.labels != b.labels or a.alphabet != b.alphabet or a.dim != b.dim:
         return False
-    if not np.allclose(a.states, b.states, atol=EQUAL_TOL):
-        return False
-    return all(np.allclose(a.kraus[x], b.kraus[x], atol=EQUAL_TOL) for x in a.alphabet)
+    pairs = [(a.states, b.states)] + [(a.kraus[x], b.kraus[x]) for x in a.alphabet]
+    return all(float(np.max(np.abs(u - v))) <= EQUAL_TOL for u, v in pairs)
 
 
 # ---------------------------------------------------------------- file format

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import hypothesis
 import hypothesis.strategies as st
@@ -30,6 +32,8 @@ from machina.errors import (
     NotNormalizedError,
     PaddingError,
 )
+from machina.hmm import stationary
+from machina.random_models import random_unifilar_model
 
 FIG2_P = [3 / 4, 1 / 8, 1 / 8, 0, 0]
 FIG2_Q = [2 / 5, 1 / 5, 1 / 5, 1 / 10, 1 / 10]
@@ -223,6 +227,52 @@ def test_doubly_stochastic_maps_sorted_vectors():
     assert np.allclose(mat.sum(axis=0), 1.0, atol=1e-12)
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
     assert np.allclose(mat @ sorted(FIG2_P, reverse=True), sorted(FIG2_Q, reverse=True), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (TransferOp(-1, 1, 0.05), "bad index pair (-1, 1) for length 3"),
+        (TransferOp(0, -1, 0.1), "bad index pair (0, -1) for length 3"),
+        (TransferOp(3, 2, 0.05), "bad index pair (3, 2) for length 3"),
+        (TransferOp(0, 3, 0.1), "bad index pair (0, 3) for length 3"),
+        (TransferOp(0, 1, 0.3), "amount 0.3 outside (0, 0.2)"),
+    ],
+    ids=["donor-minus-one", "recipient-minus-one", "donor-n", "recipient-n", "amount-past-gap"],
+)
+def test_doubly_stochastic_rejects_what_apply_transfer_rejects(op, message):
+    start = [0.5, 0.3, 0.2]
+    with pytest.raises(IllegalTransferError, match=f"^{re.escape(message)}$"):
+        apply_transfer(start, op)
+    with pytest.raises(IllegalTransferError, match=f"^{re.escape(message)}$"):
+        chain_to_doubly_stochastic([op], start)
+
+
+def _t_matrix_product(ops, x):
+    """Reference: one explicit n x n T-transform matrix per op, multiplied out."""
+    x = np.array(x, dtype=float)
+    total = np.eye(x.size)
+    for op in ops:
+        i, j = op.donor, op.recipient
+        lam = op.amount / (x[i] - x[j])
+        t_mat = np.eye(x.size)
+        t_mat[i, i] = t_mat[j, j] = 1.0 - lam
+        t_mat[i, j] = t_mat[j, i] = lam
+        total, x = t_mat @ total, t_mat @ x
+    return total
+
+
+def test_long_chain_matches_the_matrix_product_and_the_folded_transfers():
+    model = random_unifilar_model(np.random.default_rng(10), 200, 3)
+    p = pad_to(stationary(model), 220)
+    q = 0.5 * p.probs + 0.5 / 220  # halfway to uniform, so p majorizes q
+    ops = transfer_chain(p, q)
+    assert len(ops) > 150
+    mat = chain_to_doubly_stochastic(ops, p)
+    assert np.max(np.abs(mat - _t_matrix_product(ops, p.sorted_desc()))) <= 1e-12
+    assert np.max(np.abs(mat @ p.sorted_desc() - np.sort(q)[::-1])) <= 1e-12
+    folded = functools.reduce(apply_transfer, ops, Distribution(p.sorted_desc()))
+    assert np.array_equal(replay_chain(p, ops).probs, folded.probs)
 
 
 # -------------------------------------------------------------- properties

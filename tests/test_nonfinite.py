@@ -1,6 +1,11 @@
-"""nan and +-inf are rejected at every entry point, before any linear algebra runs."""
+"""nan and +-inf are rejected at every entry point, before any linear algebra runs.
+
+A number in a model file is an ASCII decimal or ``a/b`` fraction: the digit
+separator ``_`` and non-ASCII digits, which ``float`` would accept, are parse errors.
+"""
 
 import math
+import re
 
 import pytest
 
@@ -70,6 +75,21 @@ def test_validate_exits_two_on_nonfinite_number(kind, token, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"non-finite number {token!r}" in captured.err
+
+
+@pytest.mark.parametrize("token", ["1_0", "1/2_0", "\u0661", "\uff11"])
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_underscores_and_non_ascii_digits_are_bad_numbers(kind, token, tmp_path, capsys):
+    text = COIN_FILE.format(token) if kind == "classical" else _qubit_file(token)
+    parse = parse_model if kind == "classical" else parse_quantum_model
+    with pytest.raises(ModelFormatError, match=re.escape(f"bad number {token!r}")):
+        parse(text)
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad number {token!r}" in captured.err
 
 
 @pytest.mark.parametrize("token", TOKENS)

@@ -411,6 +411,18 @@ def test_quantum_file_round_trip(factory):
     assert serialize_quantum_model(again) == text  # d3 and d4 carry -0 imaginary parts
 
 
+def test_quantum_models_equal_is_absolute_within_equal_tol():
+    # a phase of 5e-6 on the first basis vector moves a state entry by 5e-6,
+    # which np.allclose's default rtol of 1e-5 would have forgiven
+    q = d3()
+    phase = np.diag([np.exp(5e-6j), 1.0])
+    kraus = {x: phase @ k @ phase.conj().T for x, k in q.kraus.items()}
+    turned = PureStateQuantumModel(q.dim, q.labels, phase @ q.states, q.alphabet, kraus)
+    assert np.max(np.abs(turned.states - q.states)) == pytest.approx(5e-6)
+    assert not quantum_models_equal(q, turned)
+    assert quantum_models_equal(q, q)
+
+
 SWAP_FILE = QUBIT_HEAD + (
     "state: A  (1,0) (0,0)\nstate: B  (0,0) (1,0)\nkraus: 0  (0,0) (1,0) / (1,0) (0,0)\n"
 )

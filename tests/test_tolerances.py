@@ -11,15 +11,33 @@ import machina
 KNOBS = {"tol", "rank_tol", "max_iter", "ndigits", "alphas", "rho"}
 
 
-def test_no_small_float_literal_outside_tolerances():
-    found = []
+def _package_nodes():
     for path in sorted(Path(machina.__file__).parent.glob("*.py")):
-        if path.name == "tolerances.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Constant) and type(node.value) is float:
-                if 0.0 < node.value < 1e-6:
-                    found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            yield path.name, node
+
+
+def test_no_small_float_literal_outside_tolerances():
+    found = [
+        f"{name}:{node.lineno}: {node.value!r}"
+        for name, node in _package_nodes()
+        if name != "tolerances.py"
+        and isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0.0 < node.value < 1e-6
+    ]
+    assert found == []
+
+
+def test_no_allclose_or_isclose_in_the_package():
+    """Their default ``rtol`` is a tolerance that ``machina.tolerances`` does not define."""
+    found = []
+    for name, node in _package_nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called in ("allclose", "isclose"):
+                found.append(f"{name}:{node.lineno}: {called}")
     assert found == []
 
 
