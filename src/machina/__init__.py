@@ -46,12 +46,10 @@ from .quantum import (
     gram_fixed_point,
     memory_spectrum,
     parse_quantum_model,
-    quantum_word_probability,
     serialize_quantum_model,
     spectrum,
     stationary_density,
     strong_advantage_report,
-    vn_renyi,
 )
 from .qubit_family import (
     CandidateModel2D,

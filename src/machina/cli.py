@@ -49,7 +49,6 @@ from .quantum import (
     build_qmachine,
     classical_equivalent,
     completeness_residual,
-    memory_spectrum,
     parse_quantum_model,
     serialize_quantum_model,
     strong_advantage_report,
@@ -110,13 +109,6 @@ def _resolve_single(args):
     if len(specs) != 1:
         raise ValueError("give exactly one of a MODEL argument or --process")
     return _load_any(specs[0])
-
-
-def _memory_distribution(model):
-    """What a model pays for memory: stationary state, or spectrum if quantum."""
-    if isinstance(model, PureStateQuantumModel):
-        return memory_spectrum(model)
-    return stationary(model)
 
 
 def _parse_alphas(raw: str | None):
@@ -188,7 +180,7 @@ def cmd_validate(args) -> int:
 def cmd_entropy(args) -> int:
     model = _resolve_single(args)
     alphas = _parse_alphas(args.alpha)
-    dist = _memory_distribution(model)
+    dist = model.memory()
     rows = [(a, renyi_entropy(dist, a)) for a in alphas]
     if args.format == "csv":
         print("alpha,bits")
@@ -203,7 +195,7 @@ def cmd_entropy(args) -> int:
 
 
 def _two_distributions(args):
-    return tuple(_memory_distribution(_load_any(spec)) for spec in (args.model_a, args.model_b))
+    return tuple(_load_any(spec).memory() for spec in (args.model_a, args.model_b))
 
 
 def cmd_lorenz(args) -> int:

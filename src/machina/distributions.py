@@ -284,7 +284,12 @@ def transfer_chain(p, q) -> list[TransferOp]:
 
 
 def replay_chain(p, ops) -> Distribution:
-    """Apply a transfer chain starting from ``p`` sorted descending."""
+    """Apply a transfer chain starting from ``p`` sorted descending.
+
+    A chain from ``transfer_chain(p, q)`` indexes the vectors padded to the
+    longer length, so pass ``pad_to(p, max(len(p), len(q)))`` when q is the
+    longer; an index past the end of ``p`` raises ``IllegalTransferError``.
+    """
     x = validate_distribution(p).sorted_desc().copy()
     for op in ops:
         _transfer(x, op)

@@ -20,7 +20,9 @@ state), its symbol matrices, and the sum of all entries.  A pure-state
 quantum model's is its density matrix rho, the Kraus maps rho -> K rho K^dag
 (the superoperators kron(K, conj(K)) acting on vec(rho)), and the trace (see
 ``PureStateQuantumModel.linear_rep``), so one :class:`LinearRep` computes
-words for both model kinds.
+words for both model kinds.  ``memory()`` is what a model pays for memory (an
+HMM's stationary state, a quantum model's stationary spectrum);
+``word_probability``, ``word_distribution`` and ``renyi_memory`` take either kind.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ from .errors import (
     UnknownSymbolError,
     UnreachableCopyError,
 )
-from .tolerances import EIG_TOL, EQUAL_TOL, STEP_TOL, ZERO_TOL
-
-_POWER_ITER_CAP = 10**6
+from .tolerances import EIG_TOL, EQUAL_TOL, ZERO_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +162,10 @@ class FinitePredictiveModel:
         ops = {x: self.symbol_matrix(x) for x in self.alphabet}
         return LinearRep(vec, ops, np.ndarray.sum)
 
+    def memory(self) -> Distribution:
+        """What the model pays for memory: its stationary state distribution."""
+        return stationary(self)
+
     def total_matrix(self) -> np.ndarray:
         rows, cols = np.nonzero(self.succ >= 0)
         mat = np.zeros((len(self.states), len(self.states)))
@@ -185,8 +189,9 @@ def stationary(m: FinitePredictiveModel) -> Distribution:
     """Left fixed vector of the summed transition matrix, normalized to 1.
 
     Solved directly as the least-squares solution of the singular system with
-    a normalization row appended; falls back to damped power iteration if the
-    direct residual is not tight.
+    a normalization row appended.  A solution whose residual exceeds
+    ``EIG_TOL``, or with an entry below ``-EIG_TOL``, raises
+    ``NoConvergenceError``.
     """
     t_mat = m.total_matrix()
     n = len(m.states)
@@ -194,8 +199,10 @@ def stationary(m: FinitePredictiveModel) -> Distribution:
     rhs = np.zeros(n + 1)
     rhs[-1] = 1.0
     pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    if _stationary_residual(pi, t_mat) > EIG_TOL or pi.min() < -EIG_TOL:
-        pi = _power_iteration(t_mat)
+    residual = _stationary_residual(pi, t_mat)
+    if residual > EIG_TOL or pi.min() < -EIG_TOL:
+        msg = f"stationary solve missed: residual {residual:.3g}, smallest entry {pi.min():.3g}"
+        raise NoConvergenceError(msg)
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
     if _stationary_residual(pi, t_mat) > EIG_TOL:
@@ -205,19 +212,6 @@ def stationary(m: FinitePredictiveModel) -> Distribution:
 
 def _stationary_residual(pi: np.ndarray, t_mat: np.ndarray) -> float:
     return float(np.max(np.abs(pi @ t_mat - pi)))
-
-
-def _power_iteration(t_mat: np.ndarray) -> np.ndarray:
-    # lazy chain (I + T)/2 keeps periodic cycles from oscillating
-    n = t_mat.shape[0]
-    v = np.full(n, 1.0 / n)
-    for _ in range(_POWER_ITER_CAP):
-        nxt = 0.5 * (v + v @ t_mat)
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - v)) < STEP_TOL:
-            return nxt
-        v = nxt
-    raise NoConvergenceError(f"power iteration did not converge in {_POWER_ITER_CAP} steps")
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,19 +259,19 @@ class LinearRep:
         return out
 
 
-def word_probability(m: FinitePredictiveModel, word, start: str | None = None) -> float:
-    """Probability of emitting ``word``, from the stationary mix or a fixed state."""
-    return m.linear_rep(start).probability(word)
+def word_probability(model, word) -> float:
+    """Probability of emitting ``word`` from the stationary state, for either model kind."""
+    return model.linear_rep().probability(word)
 
 
-def word_distribution(m: FinitePredictiveModel, length: int, start: str | None = None) -> dict:
+def word_distribution(model, length: int) -> dict:
     """All positive-probability words of exactly ``length`` symbols, {word tuple: probability}."""
-    return m.linear_rep(start).words(length)
+    return model.linear_rep().words(length)
 
 
-def renyi_memory(m: FinitePredictiveModel, alpha) -> float:
-    """Renyi entropy of the stationary state distribution, in bits."""
-    return renyi_entropy(stationary(m), alpha)
+def renyi_memory(model, alpha) -> float:
+    """Renyi entropy of ``model.memory()`` in bits, for either model kind."""
+    return renyi_entropy(model.memory(), alpha)
 
 
 def split_state(

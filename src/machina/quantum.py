@@ -138,6 +138,10 @@ class PureStateQuantumModel:
         ops = {x: _KrausMap(k) for x, k in self.kraus.items()}
         return LinearRep(stationary_density(self), ops, lambda r: np.trace(r).real)
 
+    def memory(self) -> Distribution:
+        """What the model pays for memory: the spectrum of its stationary density."""
+        return memory_spectrum(self)
+
 
 class _KrausMap:
     """rho -> K rho K^dag as ``rho @ op``: what kron(K, conj(K)) does to vec(rho),
@@ -256,26 +260,16 @@ def gram_fixed_point(m: FinitePredictiveModel) -> np.ndarray:
     raise NoConvergenceError(f"overlap recursion not converged after {GRAM_MAX_ITER} iterations")
 
 
-def embed_states(gram: np.ndarray) -> tuple[int, np.ndarray]:
-    """Realize vectors with the prescribed pairwise overlaps.
+def embed_states(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectors with the prescribed pairwise overlaps, and their pseudoinverse.
 
-    Eigendecomposes the overlap matrix and keeps the eigenvalues above
-    ``EIG_TOL``; returns (dimension, dim x n state matrix) whose columns
-    reproduce the overlaps.
+    Eigendecomposes the Hermitian overlap matrix and keeps the eigenvalues
+    above ``EIG_TOL`` in descending order; returns S = sqrt(W) U^dag
+    (dim x n), whose columns reproduce the overlaps, and U W^{-1/2} (n x dim).
     """
     gram = np.asarray(gram)
     if not np.max(np.abs(gram - gram.conj().T)) <= EQUAL_TOL:
         raise NotHermitianError("overlap matrix is not Hermitian")
-    states, _ = _eigen_embed(gram)
-    return states.shape[0], states
-
-
-def _eigen_embed(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """State matrix realizing ``gram`` and its pseudoinverse, via eigendecomposition.
-
-    Keeps the eigenvalues above ``EIG_TOL`` in descending order; returns
-    S = sqrt(W) U^dag (dim x n) and U W^{-1/2} (n x dim).
-    """
     w, u = np.linalg.eigh(gram)
     if not w.min() >= -EIG_TOL:
         raise NotPSDError(f"overlap matrix has eigenvalue {w.min():.3g}")
@@ -293,7 +287,7 @@ def build_qmachine(m: FinitePredictiveModel) -> PureStateQuantumModel:
     is the least-squares solution of K S = S'_x, with the pseudoinverse taken
     through the overlap eigendecomposition (rank tolerance ``EIG_TOL``).
     """
-    states, pinv = _eigen_embed(gram_fixed_point(m))
+    states, pinv = embed_states(gram_fixed_point(m))
     kraus = {}
     for j, x in enumerate(m.alphabet):
         live = np.flatnonzero(m.probs[:, j] > ZERO_TOL)
@@ -361,16 +355,8 @@ def memory_spectrum(q: PureStateQuantumModel) -> Distribution:
     return spectrum(stationary_density(q), q.n)
 
 
-def vn_renyi(q: PureStateQuantumModel, alpha) -> float:
-    """Renyi memory of the model: entropy of the stationary spectrum, in bits."""
-    return renyi_entropy(memory_spectrum(q), alpha)
-
-
-def quantum_word_probability(q: PureStateQuantumModel, word) -> float:
-    """Probability of a word under the Kraus dynamics from the stationary density."""
-    return q.linear_rep().probability(word)
-
-
+# hmm.word_distribution takes this model kind too; this name stays because
+# benchmarks/tests/test_bench.py:200 counts its calls
 def quantum_word_distribution(q: PureStateQuantumModel, length: int) -> dict:
     """All positive-probability words of exactly ``length`` symbols."""
     return q.linear_rep().words(length)

@@ -7,8 +7,8 @@ ZERO_TOL = 1e-12
 EQUAL_TOL = 1e-9
 #: an eigenvalue or a linear-system residual is zero
 EIG_TOL = 1e-10
-#: an iteration has converged: its largest update, or for the overlap
-#: recursion its residual max|Phi(G) - G|, is below this
+#: an iteration has converged: the overlap recursion's residual
+#: max|Phi(G) - G| is below this
 STEP_TOL = 1e-13
 #: a transfer chain has landed on its target
 LANDING_TOL = 1e-8

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hmm import FinitePredictiveModel, _incoming, split_state
-from .minimize import merge
+from machina.hmm import FinitePredictiveModel, _incoming, split_state
+from machina.minimize import merge
 
 
 def random_unifilar_model(

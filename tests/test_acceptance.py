@@ -25,7 +25,14 @@ from machina.distributions import (
     transfer_chain,
     validate_distribution,
 )
-from machina.hmm import models_equal, parse_model, serialize_model, stationary, word_distribution
+from machina.hmm import (
+    models_equal,
+    parse_model,
+    renyi_memory,
+    serialize_model,
+    stationary,
+    word_distribution,
+)
 from machina.minimize import merge
 from machina.quantum import (
     build_qmachine,
@@ -35,10 +42,9 @@ from machina.quantum import (
     quantum_models_equal,
     quantum_word_distribution,
     serialize_quantum_model,
-    vn_renyi,
 )
 from machina.qubit_family import candidate, frame_residual, uniqueness_sweep
-from machina.random_models import random_epsilon_machine, random_refinement
+from random_models import random_epsilon_machine, random_refinement
 
 MAJOR_OR_EQ = (MajorizationVerdict.STRICTLY_MAJORIZES, MajorizationVerdict.EQUIVALENT)
 
@@ -56,7 +62,7 @@ def _q3_oracle_spectrum() -> np.ndarray:
 def test_criterion_01_three_state_statistical_memory():
     oracle = _q3_oracle_spectrum()
     assert np.allclose(oracle, [8 / 9, 1 / 18, 1 / 18], atol=1e-12)
-    s1 = vn_renyi(q3(), 1)
+    s1 = renyi_memory(q3(), 1)
     assert s1 == pytest.approx(0.6144, abs=0.005)
     assert s1 == pytest.approx(renyi_entropy(oracle, 1), abs=1e-9)
     _report(1, f"S1(q3) = {s1:.4f} within 0.6144 +- 0.005; matches Gram eigensolve oracle")
@@ -64,8 +70,8 @@ def test_criterion_01_three_state_statistical_memory():
 
 def test_criterion_02_four_state_memories():
     oracle = np.array([1.5 + math.sqrt(2), 0.5, 0.5, 1.5 - math.sqrt(2)]) / 4
-    s1 = vn_renyi(q4(), 1)
-    s_inf = vn_renyi(q4(), math.inf)
+    s1 = renyi_memory(q4(), 1)
+    s_inf = renyi_memory(q4(), math.inf)
     assert s1 == pytest.approx(1.202, abs=0.01)
     assert s_inf == pytest.approx(0.457, abs=0.01)
     assert s1 == pytest.approx(renyi_entropy(oracle, 1), abs=1e-9)
@@ -74,9 +80,9 @@ def test_criterion_02_four_state_memories():
 
 
 def test_criterion_03_qubit_model_memories():
-    s_d3 = vn_renyi(d3(), 1)
-    s_d4 = vn_renyi(d4(), 1)
-    s_inf_d4 = vn_renyi(d4(), math.inf)
+    s_d3 = renyi_memory(d3(), 1)
+    s_d4 = renyi_memory(d4(), 1)
+    s_inf_d4 = renyi_memory(d4(), math.inf)
     assert s_d3 == pytest.approx(1.0, abs=1e-9)
     assert s_d4 == pytest.approx(1.0, abs=1e-9)
     assert s_inf_d4 == pytest.approx(1.0, abs=1e-9)

@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 
 from machina.cli import main
-from machina.hmm import parse_model, serialize_model
+from machina.hmm import parse_model, renyi_memory, serialize_model
 from machina.catalog import even_odd_split, mbw3
-from machina.quantum import parse_quantum_model, vn_renyi
+from machina.quantum import parse_quantum_model
 
 
 def run(capsys, *argv):
@@ -222,7 +222,7 @@ def test_qmachine_report_and_export(tmp_path, capsys):
     assert "gram:" in out
     assert "StrictlyMajorizes" in out
     q = parse_quantum_model(out_path.read_text())
-    assert vn_renyi(q, 1) == pytest.approx(0.6144, abs=0.005)
+    assert renyi_memory(q, 1) == pytest.approx(0.6144, abs=0.005)
 
 
 def test_qmachine_warns_on_redundant_input(capsys):

@@ -33,7 +33,7 @@ from machina.errors import (
     PaddingError,
 )
 from machina.hmm import stationary
-from machina.random_models import random_unifilar_model
+from random_models import random_unifilar_model
 
 FIG2_P = [3 / 4, 1 / 8, 1 / 8, 0, 0]
 FIG2_Q = [2 / 5, 1 / 5, 1 / 5, 1 / 10, 1 / 10]
@@ -205,6 +205,16 @@ def test_transfer_chain_figure_pair():
     assert len(ops) <= 4
     final = replay_chain(FIG2_P, ops)
     assert np.allclose(final.probs, sorted(FIG2_Q, reverse=True), atol=1e-12)
+
+
+def test_replay_chain_starts_from_the_padded_vector():
+    # the chain indexes p padded to q's length; unpadded, recipient 2 is out of range
+    p, q = [1, 0], [0.5, 0.25, 0.25]
+    ops = transfer_chain(p, q)
+    landed = replay_chain(pad_to(p, max(len(p), len(q))), ops)
+    assert np.array_equal(landed.probs, sorted(q, reverse=True))
+    with pytest.raises(IllegalTransferError, match=re.escape("bad index pair (0, 2) for length 2")):
+        replay_chain(p, ops)
 
 
 def test_transfer_chain_rejects_incomparable():

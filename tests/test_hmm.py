@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from machina.catalog import biased_coin, even_odd, even_odd_split, mbw3, mbw4
+from machina.catalog import biased_coin, d3, even_odd, even_odd_split, mbw3, mbw4, q3, q4
 from machina.errors import (
     DuplicateTransitionError,
     ModelFormatError,
+    NoConvergenceError,
     NotIrreducibleError,
     NotStochasticError,
     NotUnifilarError,
@@ -173,6 +174,17 @@ def test_stationary_even_odd():
     assert np.allclose(pi, np.array([1, p, 1, 1]) / (3 + p), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "perturb", [lambda pi: pi + np.eye(len(pi))[0] * 1e-6, np.negative], ids=["residual", "sign"]
+)
+def test_stationary_raises_when_the_direct_solve_misses(monkeypatch, perturb):
+    # a residual above EIG_TOL, or an entry below -EIG_TOL (-pi has residual 0)
+    solve = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: (perturb(solve(*a, **k)[0]),))
+    with pytest.raises(NoConvergenceError, match="stationary solve missed"):
+        stationary(mbw4())
+
+
 # ------------------------------------------------------------- word measure
 
 def test_word_probability_iid():
@@ -189,9 +201,9 @@ def test_word_probability_cyclic_chain():
 
 
 def test_word_probability_from_state():
-    assert word_probability(biased_coin(0.6), "1", start="A") == pytest.approx(0.6)
+    assert biased_coin(0.6).linear_rep("A").probability("1") == pytest.approx(0.6)
     with pytest.raises(UnknownStateError):
-        word_probability(biased_coin(0.6), "1", start="Z")
+        biased_coin(0.6).linear_rep("Z")
 
 
 def test_word_probability_unknown_symbol():
@@ -204,14 +216,16 @@ def test_word_distribution_rejects_negative_length():
         word_distribution(biased_coin(0.6), -1)
 
 
-@pytest.mark.parametrize("model", [mbw3(), mbw4(), even_odd(0.5), biased_coin(0.6)])
+@pytest.mark.parametrize(
+    "model", [mbw3(), mbw4(), even_odd(0.5), biased_coin(0.6), d3(), q3(), q4()]
+)
 def test_word_measure_sums_to_one(model):
     for length in range(1, 7):
         total = sum(word_distribution(model, length).values())
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("model", [mbw4(), even_odd(0.3)])
+@pytest.mark.parametrize("model", [mbw4(), even_odd(0.3), q4()])
 def test_word_measure_shift_invariant(model):
     # stationarity: P(w) equals the total probability of x+w over symbols x
     for length in range(1, 6):

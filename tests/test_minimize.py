@@ -19,7 +19,7 @@ from machina.minimize import (
     refine_partition,
     strong_minimality_report,
 )
-from machina.random_models import (
+from random_models import (
     random_epsilon_machine,
     random_refinement,
     random_unifilar_model,

@@ -19,7 +19,7 @@ from machina.errors import NoConvergenceError
 from machina.hmm import FinitePredictiveModel
 from machina.minimize import merge
 from machina.quantum import gram_fixed_point
-from machina.random_models import random_unifilar_model
+from random_models import random_unifilar_model
 from machina.tolerances import STEP_TOL, ZERO_TOL
 
 

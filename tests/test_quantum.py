@@ -31,7 +31,7 @@ from machina.errors import (
     NotUnifilarError,
     UnknownSymbolError,
 )
-from machina.hmm import models_equal, stationary, word_distribution
+from machina.hmm import models_equal, renyi_memory, stationary, word_distribution, word_probability
 from machina.minimize import merge
 from machina.quantum import (
     PureStateQuantumModel,
@@ -44,14 +44,12 @@ from machina.quantum import (
     parse_quantum_model,
     quantum_models_equal,
     quantum_word_distribution,
-    quantum_word_probability,
     serialize_quantum_model,
     spectrum,
     stationary_density,
     strong_advantage_report,
-    vn_renyi,
 )
-from machina.random_models import random_unifilar_model
+from random_models import random_unifilar_model
 
 # overlaps forced by the recursion on the cyclic chains
 Q3_OFFDIAG = 5 / 6
@@ -110,21 +108,24 @@ def test_redundant_input_with_identity_gram_is_flagged_only_by_the_warning():
 
 def test_embed_three_state_overlaps():
     g = gram_fixed_point(mbw3())
-    dim, states = embed_states(g)
-    assert dim == 3  # eigenvalues 8/3, 1/6, 1/6 all positive
+    states, pinv = embed_states(g)
+    assert states.shape == (3, 3)  # eigenvalues 8/3, 1/6, 1/6 all positive
     assert np.allclose(states.conj().T @ states, g, atol=1e-9)
+    assert np.allclose(states @ pinv, np.eye(3), atol=1e-9)
 
 
 def test_embed_identity_gram():
-    dim, states = embed_states(np.eye(4))
-    assert dim == 4
+    states, pinv = embed_states(np.eye(4))
+    assert states.shape == (4, 4)
     assert np.allclose(states.conj().T @ states, np.eye(4), atol=1e-12)
+    assert np.allclose(states @ pinv, np.eye(4), atol=1e-12)
 
 
 def test_embed_rank_two_gram():
     g = _gram_of(d3())
-    dim, states = embed_states(np.real(g))
-    assert dim == 2
+    states, pinv = embed_states(np.real(g))
+    assert states.shape == (2, 3) and pinv.shape == (3, 2)
+    assert np.allclose(states @ pinv, np.eye(2), atol=1e-9)
 
 
 def test_embed_rejects_indefinite():
@@ -141,19 +142,19 @@ def test_embed_rejects_nonhermitian():
 
 def test_build_qmachine_three_state_entropy():
     q = build_qmachine(mbw3())
-    assert vn_renyi(q, 1) == pytest.approx(0.61, abs=0.005)
+    assert renyi_memory(q, 1) == pytest.approx(0.61, abs=0.005)
 
 
 def test_build_qmachine_four_state_entropies():
     q = build_qmachine(mbw4())
-    assert vn_renyi(q, 1) == pytest.approx(1.2, abs=0.01)
-    assert vn_renyi(q, math.inf) == pytest.approx(0.46, abs=0.01)
+    assert renyi_memory(q, 1) == pytest.approx(1.2, abs=0.01)
+    assert renyi_memory(q, math.inf) == pytest.approx(0.46, abs=0.01)
 
 
 def test_build_qmachine_single_state_is_trivial():
     q = build_qmachine(biased_coin(0.6))
     assert q.dim == 1
-    assert vn_renyi(q, 1) == pytest.approx(0.0, abs=1e-12)
+    assert renyi_memory(q, 1) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("factory", [q3, q4, d3, d4])
@@ -223,13 +224,13 @@ def test_spectrum_rejects_nonhermitian():
 # --------------------------------------------------------------- entropies
 
 def test_vn_renyi_qubit_models():
-    assert vn_renyi(d3(), 1) == pytest.approx(1.0, abs=1e-9)
-    assert vn_renyi(d4(), 1) == pytest.approx(1.0, abs=1e-9)
-    assert vn_renyi(d4(), math.inf) == pytest.approx(1.0, abs=1e-9)
+    assert renyi_memory(d3(), 1) == pytest.approx(1.0, abs=1e-9)
+    assert renyi_memory(d4(), 1) == pytest.approx(1.0, abs=1e-9)
+    assert renyi_memory(d4(), math.inf) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_vn_renyi_q3():
-    assert vn_renyi(q3(), 1) == pytest.approx(0.6144, abs=0.005)
+    assert renyi_memory(q3(), 1) == pytest.approx(0.6144, abs=0.005)
 
 
 # ------------------------------------------------------- classical read-off
@@ -316,11 +317,11 @@ def test_kraus_images_are_walked_once_per_model(monkeypatch):
 # -------------------------------------------------------------- word measure
 
 def test_quantum_empty_word():
-    assert quantum_word_probability(q3(), "") == pytest.approx(1.0, abs=1e-12)
+    assert word_probability(q3(), "") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quantum_word_matches_classical_value():
-    assert quantum_word_probability(q3(), "AA") == pytest.approx(2 / 9, abs=1e-9)
+    assert word_probability(q3(), "AA") == pytest.approx(2 / 9, abs=1e-9)
 
 
 def _ring_qmachine(n: int = 40):
@@ -350,7 +351,7 @@ def test_word_probabilities_follow_kraus_evolution(factory):
             for x in word:
                 rho = q.kraus[x] @ rho @ q.kraus[x].conj().T
             expected[word] = np.trace(rho).real
-            assert quantum_word_probability(q, word) == expected[word]
+            assert word_probability(q, word) == expected[word]
     # enumeration keeps a word when it and all of its prefixes have positive probability
     kept = {
         w: p for w, p in expected.items()
