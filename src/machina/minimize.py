@@ -6,6 +6,9 @@ model's ``probs``/``succ`` arrays finds the coarsest partition whose blocks
 agree on per-symbol emission probabilities and land in a common block after
 each symbol, and labels each state index with its block; merging those
 blocks yields the minimal machine for the generated process.
+
+Grouping the emission rows costs one sort plus pairwise checks inside runs of
+close first entries; it unions pairs within ``EQUAL_TOL``, so it still chains.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ class StatePartition:
 
     blocks: tuple[frozenset[str], ...]
     labels: np.ndarray  # read-only
+    spread: float  # largest max - min of one emission probability within a block
 
     def block_names(self) -> tuple[str, ...]:
         return tuple(min(block) for block in self.blocks)
@@ -48,13 +52,20 @@ def _first_appearance(keys: np.ndarray) -> np.ndarray:
 
 
 def _group_by_emissions(probs: np.ndarray) -> np.ndarray:
-    # union of every pair of rows within EQUAL_TOL entrywise; a class is labeled by
-    # its smallest member while the unions run
-    labels = np.arange(len(probs))
-    for row in probs:
-        joined = labels[np.all(np.abs(probs - row) <= EQUAL_TOL, axis=1)]
-        labels[np.isin(labels, joined)] = joined.min()
-    return _first_appearance(labels)
+    # union of every pair of rows within EQUAL_TOL entrywise.  Exact duplicates share a
+    # distinct row; distinct rows come out sorted by first entry, and a pair within
+    # tolerance never spans a gap above it there, so pairs are tested only inside runs
+    rows, inverse = np.unique(probs, axis=0, return_inverse=True)
+    bounds = np.flatnonzero(np.diff(rows[:, 0], prepend=-np.inf, append=np.inf) > EQUAL_TOL)
+    labels = np.arange(len(rows))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start == 1:
+            continue
+        run, block = rows[start:stop], labels[start:stop]  # block writes through to labels
+        for row in run:
+            joined = block[np.all(np.abs(run - row) <= EQUAL_TOL, axis=1)]
+            block[np.isin(block, joined)] = joined.min()
+    return _first_appearance(labels[inverse.reshape(-1)])
 
 
 def refine_partition(m: FinitePredictiveModel) -> StatePartition:
@@ -74,8 +85,12 @@ def refine_partition(m: FinitePredictiveModel) -> StatePartition:
     members: list[list[str]] = [[] for _ in range(labels.max() + 1)]
     for s, b in zip(m.states, labels.tolist()):
         members[b].append(s)
+    shape = (len(members), len(m.alphabet))
+    hi, lo = np.zeros(shape), np.ones(shape)
+    np.maximum.at(hi, labels, m.probs)
+    np.minimum.at(lo, labels, m.probs)
     labels.setflags(write=False)
-    return StatePartition(blocks=tuple(map(frozenset, members)), labels=labels)
+    return StatePartition(tuple(map(frozenset, members)), labels, float(np.max(hi - lo)))
 
 
 def is_epsilon_machine(m: FinitePredictiveModel) -> bool:

@@ -1,3 +1,5 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -154,21 +156,27 @@ def test_merge_undoes_random_splits_of_larger_machines():
         assert canonical_encoding(merge(split)) == canonical_encoding(machine)
 
 
+def _pairwise_labels(rows, tol=EQUAL_TOL):
+    """Union-find over every pair of rows within tol, numbered by first appearance."""
+    parent = list(range(len(rows)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if all(abs(a - b) <= tol for a, b in zip(rows[i], rows[j])):
+                parent[find(i)] = find(j)
+    number: dict = {}
+    return [number.setdefault(find(i), len(number)) for i in range(len(rows))]
+
+
 def _reference_partition(m, tol=EQUAL_TOL):
     """Pairwise union-find over emission rows, then signature refinement by state name."""
-    sigs = {s: tuple(m.prob(s, x) for x in m.alphabet) for s in m.states}
-    parent = {s: s for s in m.states}
-
-    def find(s):
-        while parent[s] != s:
-            s = parent[s]
-        return s
-
-    for i, a in enumerate(m.states):
-        for b in m.states[i + 1 :]:
-            if all(abs(pa - pb) <= tol for pa, pb in zip(sigs[a], sigs[b])):
-                parent[find(a)] = find(b)
-    labels = {s: find(s) for s in m.states}
+    rows = [[m.prob(s, x) for x in m.alphabet] for s in m.states]
+    labels = dict(zip(m.states, _pairwise_labels(rows, tol)))
     while True:
         sig = {
             s: (labels[s], tuple(
@@ -203,3 +211,82 @@ def test_refine_partition_matches_name_keyed_reference():
     assert refine_partition(models[0]).blocks == (frozenset("abc"), frozenset("d"))
     for m in models:
         assert refine_partition(m).blocks == _reference_partition(m)
+
+
+# steps of 0.4e-9 let chains a~b~c cross EQUAL_TOL, and never land on it exactly
+JITTER = (0.0, 0.4e-9, -0.4e-9, 0.8e-9, 1.2e-9)
+
+
+@st.composite
+def near_tie_tables(draw):
+    k = draw(st.integers(1, 4))
+    entries = st.sampled_from((0.0, 0.25, 0.5, 1.0))
+    base = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12))
+    size = len(picks) * k
+    jitter = draw(st.lists(st.sampled_from(JITTER), min_size=size, max_size=size))
+    return np.array([base[b] for b in picks]) + np.reshape(jitter, (len(picks), k))
+
+
+@hypothesis.settings(derandomize=True, deadline=None)
+@hypothesis.given(near_tie_tables())
+@hypothesis.example(np.array([[0.5, 0.5]]))  # n = 1
+@hypothesis.example(np.array([[0.3], [0.3 + 0.8e-9], [0.3], [0.3 + 1.6e-9]]))  # k = 1, a chain
+@hypothesis.example(np.array([[0.2, 0.8], [0.5, 0.5], [0.2, 0.8], [0.5, 0.5]]))  # duplicates
+def test_group_by_emissions_is_the_pairwise_union(probs):
+    assert minimize._group_by_emissions(probs).tolist() == _pairwise_labels(probs.tolist())
+
+
+def _lift(rng, m, copies=2):
+    """Copy c of s moves on x to copy perm[s, x](c) of the successor; states shuffled.
+
+    The constructor checks that the lift is irreducible.
+    """
+    name = "{}.{}".format
+    trans = {}
+    for (s, x), (p, t) in m.trans.items():
+        perm = rng.permutation(copies)
+        for c in range(copies):
+            trans[(name(s, c), x)] = (p, name(t, perm[c]))
+    states = [name(s, c) for s in m.states for c in range(copies)]
+    return FinitePredictiveModel(tuple(rng.permutation(states)), m.alphabet, trans)
+
+
+def test_refine_a_400_state_lift_matches_reference():
+    rng = np.random.default_rng(400)
+    machine = merge(random_unifilar_model(rng, 200, 3))
+    assert len(machine.states) == 200
+    lift = _lift(rng, machine)
+    part = refine_partition(lift)
+    assert len(part.blocks) == 200
+    assert part.blocks == _reference_partition(lift)
+    assert canonical_encoding(merge(lift)) == canonical_encoding(machine)
+
+
+def test_refine_matches_reference_when_every_state_shares_its_first_entry():
+    # one run over the whole table: the grouping falls back to every pair in it
+    rng = np.random.default_rng(9)
+    n = 40
+    states = tuple(f"s{i}" for i in range(n))
+    ones = 0.1 * rng.integers(1, 4, size=n) + rng.choice(JITTER, size=n)
+    trans = {}
+    for i, s in enumerate(states):
+        trans[(s, "0")] = (0.5, states[(i + 1) % n])
+        trans[(s, "1")] = (float(ones[i]), states[int(rng.integers(n))])
+        trans[(s, "2")] = (0.5 - float(ones[i]), states[int(rng.integers(n))])
+    machine = merge(FinitePredictiveModel(states, ("0", "1", "2"), trans))
+    lift = _lift(rng, machine)
+    assert np.ptp(lift.probs[:, 0]) == 0.0
+    labels = minimize._group_by_emissions(lift.probs)
+    assert labels.tolist() == _pairwise_labels(lift.probs.tolist())
+    part = refine_partition(lift)
+    assert len(part.blocks) == len(machine.states)
+    assert part.blocks == _reference_partition(lift)
+
+
+def test_partition_spread_shows_the_chain():
+    spread = refine_partition(_chained_model()).spread
+    assert spread > EQUAL_TOL
+    assert spread == pytest.approx(1.6e-9, rel=1e-6)
+    assert refine_partition(_lift(np.random.default_rng(1), mbw4())).spread == 0.0
+    assert refine_partition(mbw3()).spread == 0.0
