@@ -10,6 +10,7 @@ the shorter one, so (1, 0, 0) and (1, 0) are equivalent.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -217,16 +218,24 @@ class TransferOp:
     amount: float
 
 
+def _index(v) -> int:
+    """``v`` as an index, or -1 (out of every range) for a bool, a float or an array."""
+    try:
+        return -1 if isinstance(v, bool) else operator.index(v)
+    except TypeError:
+        return -1
+
+
 def _transfer(x: np.ndarray, op: TransferOp) -> float:
     """Check one transfer on ``x``, apply it in place, and return eps / gap.
 
     Legal only while it shrinks the disparity: distinct in-range indices, the
     donor above the recipient, and 0 < amount < their gap.
     """
-    i, j, eps = op.donor, op.recipient, op.amount
+    i, j, eps = _index(op.donor), _index(op.recipient), op.amount
     n = len(x)
     if not (0 <= i < n and 0 <= j < n) or i == j:
-        raise IllegalTransferError(f"bad index pair ({i}, {j}) for length {n}")
+        raise IllegalTransferError(f"bad index pair ({op.donor}, {op.recipient}) for length {n}")
     gap = x[i] - x[j]
     if gap <= 0:
         raise IllegalTransferError(f"donor entry {x[i]:.6g} does not exceed recipient {x[j]:.6g}")

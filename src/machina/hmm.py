@@ -12,6 +12,8 @@ stays as the name-keyed view behind ``prob``, ``successor`` and pickling.
 Construction turns it into the one table that every algorithm reads: the
 read-only n x k arrays ``probs`` (emission probability of symbol j in state
 i) and ``succ`` (the successor's index, -1 where there is no transition).
+A transition at or below ``ZERO_TOL`` is no edge: the constructor drops it
+from ``trans`` and the table, so ``succ >= 0`` exactly where ``probs > 0``.
 
 Word probabilities go through a linear representation (start, ops, final):
 the probability of x1..xk is final(start @ ops[x1] @ ... @ ops[xk]).  An
@@ -28,6 +30,7 @@ HMM's stationary state, a quantum model's stationary spectrum);
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,7 +91,8 @@ class FinitePredictiveModel:
             p = float(p)
             if not (-ZERO_TOL <= p <= 1.0 + EQUAL_TOL):
                 raise NotStochasticError(f"probability {p:.6g} outside [0, 1]")
-            p = max(p, 0.0)
+            if p <= ZERO_TOL:
+                continue  # not an edge of the machine: neither in trans nor in the table
             cleaned[(s, x)] = (p, nxt)
             i, j = index[s], column[x]
             probs[i, j], succ[i, j] = p, index[nxt]
@@ -110,7 +114,7 @@ class FinitePredictiveModel:
 
     def _check_irreducible(self):
         # every state reachable from the first one, forward and then backward
-        live = self.probs > ZERO_TOL
+        live = self.succ >= 0
         heads, tails = np.nonzero(live)[0].tolist(), self.succ[live].tolist()
         for src, dst in ((heads, tails), (tails, heads)):
             graph: list[list[int]] = [[] for _ in self.states]
@@ -136,9 +140,7 @@ class FinitePredictiveModel:
 
     def successor(self, state: str, symbol: str) -> str | None:
         entry = self.trans.get((state, symbol))
-        if entry is None or entry[0] <= ZERO_TOL:
-            return None
-        return entry[1]
+        return None if entry is None else entry[1]
 
     def symbol_matrix(self, symbol: str) -> np.ndarray:
         """Transition matrix for one symbol: T[i, j] = P(symbol | i) if j follows."""
@@ -177,10 +179,8 @@ def models_equal(a: FinitePredictiveModel, b: FinitePredictiveModel) -> bool:
     """Structural equality: same names, same topology, probabilities within ``EQUAL_TOL``."""
     if a.states != b.states or a.alphabet != b.alphabet:
         return False
-    live = a.probs > ZERO_TOL
     return (
-        np.array_equal(live, b.probs > ZERO_TOL)
-        and np.array_equal(a.succ[live], b.succ[live])
+        np.array_equal(a.succ, b.succ)
         and float(np.max(np.abs(a.probs - b.probs))) <= EQUAL_TOL
     )
 
@@ -242,6 +242,7 @@ class LinearRep:
         Depth-first: each shared prefix is propagated once, and only one
         vector per open branch is held, not a whole level of the word tree.
         """
+        length = operator.index(length)  # a length like 2.5 would never be reached
         if length < 0:
             raise ValueError(f"word length must be nonnegative, got {length}")
         final = self.final
@@ -332,7 +333,7 @@ def _incoming(m: FinitePredictiveModel, target: str) -> list[tuple[str, str]]:
 def _live_transitions(m: FinitePredictiveModel):
     """Each positive transition as (i, j, p, t), row by row: state i emits symbol j
     with probability p and moves to state t."""
-    rows, cols = np.nonzero(m.probs > ZERO_TOL)
+    rows, cols = np.nonzero(m.succ >= 0)
     return zip(rows.tolist(), cols.tolist(), m.probs[rows, cols].tolist(),
                m.succ[rows, cols].tolist())
 

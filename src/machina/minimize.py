@@ -25,7 +25,7 @@ from .distributions import (
     renyi_entropy,
 )
 from .hmm import FinitePredictiveModel, _live_transitions, stationary
-from .tolerances import EQUAL_TOL, ZERO_TOL
+from .tolerances import EQUAL_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +74,9 @@ def refine_partition(m: FinitePredictiveModel) -> StatePartition:
     Blocks come out in order of their first member in ``m.states``.
     """
     labels = _group_by_emissions(m.probs)
-    live = m.probs > ZERO_TOL
+    live = m.succ >= 0
     for _ in range(len(m.states)):
-        # where live is False, succ may be -1; the label read there is masked
+        # where there is no transition, succ is -1; the label read there is masked
         signature = np.column_stack([labels, np.where(live, labels[m.succ], -1)])
         new_labels = _first_appearance(signature)
         if np.array_equal(new_labels, labels):
@@ -170,7 +170,7 @@ def canonical_encoding(m: FinitePredictiveModel) -> tuple:
     """
     ndigits = round(-np.log10(EQUAL_TOL))
     probs = m.probs.tolist()
-    succ = np.where(m.probs > ZERO_TOL, m.succ, -1).tolist()
+    succ = m.succ.tolist()
 
     def encode(root: int) -> tuple:
         order = [root]

@@ -221,7 +221,7 @@ def gram_fixed_point(m: FinitePredictiveModel) -> np.ndarray:
     # slot of each overlap in [upper overlaps..., 1.0]; the diagonal reads the pinned 1.0
     slot = np.full((n, n), size)
     slot[rows, cols] = slot[cols, rows] = np.arange(size)
-    mapped = np.where(m.probs > ZERO_TOL, m.succ, 0)
+    mapped = np.maximum(m.succ, 0)  # a missing transition (-1) reads state 0 at weight 0
     gather = slot[mapped[rows].T, mapped[cols].T]  # k x size
     roots = np.sqrt(m.probs)
     weights = roots[rows].T * roots[cols].T
@@ -290,7 +290,7 @@ def build_qmachine(m: FinitePredictiveModel) -> PureStateQuantumModel:
     states, pinv = embed_states(gram_fixed_point(m))
     kraus = {}
     for j, x in enumerate(m.alphabet):
-        live = np.flatnonzero(m.probs[:, j] > ZERO_TOL)
+        live = np.flatnonzero(m.succ[:, j] >= 0)
         target = np.zeros_like(states)
         target[:, live] = np.sqrt(m.probs[live, j]) * states[:, m.succ[live, j]]
         kraus[x] = target @ pinv

@@ -41,12 +41,10 @@ from .errors import (
     UnphysicalThetaError,
 )
 from .quantum import PureStateQuantumModel, memory_spectrum
-from .tolerances import EQUAL_TOL
+from .tolerances import EQUAL_TOL, SINGULAR_MARGIN, ZERO_THRESHOLD
 
 PHYSICAL_MIN = math.pi / 3.0
-SINGULAR_MARGIN = 1e-6
 SWEEP_OFFSET = 1e-3
-ZERO_THRESHOLD = 1e-6
 
 _STAY = math.sqrt(2.0 / 3.0)
 _HOP = 1.0 / math.sqrt(6.0)

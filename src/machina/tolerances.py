@@ -12,3 +12,8 @@ EIG_TOL = 1e-10
 STEP_TOL = 1e-13
 #: a transfer chain has landed on its target
 LANDING_TOL = 1e-8
+#: a qubit-family angle lies on the band edge |theta| = pi/3, where beta vanishes
+#: and the duals blow up (``candidate`` raises ``SingularThetaError`` closer than this)
+SINGULAR_MARGIN = 1e-6
+#: a qubit-family completeness residual is zero: the uniqueness sweep's near-zero test
+ZERO_THRESHOLD = 1e-6

@@ -247,8 +247,13 @@ def test_doubly_stochastic_maps_sorted_vectors():
         (TransferOp(3, 2, 0.05), "bad index pair (3, 2) for length 3"),
         (TransferOp(0, 3, 0.1), "bad index pair (0, 3) for length 3"),
         (TransferOp(0, 1, 0.3), "amount 0.3 outside (0, 0.2)"),
+        (TransferOp(0, 1.0, 0.1), "bad index pair (0, 1.0) for length 3"),
+        (TransferOp(0, True, 0.1), "bad index pair (0, True) for length 3"),
     ],
-    ids=["donor-minus-one", "recipient-minus-one", "donor-n", "recipient-n", "amount-past-gap"],
+    ids=[
+        "donor-minus-one", "recipient-minus-one", "donor-n", "recipient-n", "amount-past-gap",
+        "float-recipient", "bool-recipient",
+    ],
 )
 def test_doubly_stochastic_rejects_what_apply_transfer_rejects(op, message):
     start = [0.5, 0.3, 0.2]

@@ -216,6 +216,15 @@ def test_word_distribution_rejects_negative_length():
         word_distribution(biased_coin(0.6), -1)
 
 
+@pytest.mark.parametrize("model", [mbw3(), q3()], ids=["mbw3", "q3"])
+@pytest.mark.parametrize("length", [2.5, 2.0])
+def test_word_distribution_rejects_a_length_that_is_not_an_integer(model, length):
+    # the walk ends a word at len(prefix) == length, which 2.5 never reaches
+    with pytest.raises(TypeError):
+        word_distribution(model, length)
+    assert word_distribution(model, np.int64(2)) == word_distribution(model, 2)
+
+
 @pytest.mark.parametrize(
     "model", [mbw3(), mbw4(), even_odd(0.5), biased_coin(0.6), d3(), q3(), q4()]
 )

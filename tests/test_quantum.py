@@ -31,7 +31,14 @@ from machina.errors import (
     NotUnifilarError,
     UnknownSymbolError,
 )
-from machina.hmm import models_equal, renyi_memory, stationary, word_distribution, word_probability
+from machina.hmm import (
+    FinitePredictiveModel,
+    models_equal,
+    renyi_memory,
+    stationary,
+    word_distribution,
+    word_probability,
+)
 from machina.minimize import merge
 from machina.quantum import (
     PureStateQuantumModel,
@@ -149,6 +156,16 @@ def test_build_qmachine_four_state_entropies():
     q = build_qmachine(mbw4())
     assert renyi_memory(q, 1) == pytest.approx(1.2, abs=0.01)
     assert renyi_memory(q, math.inf) == pytest.approx(0.46, abs=0.01)
+
+
+@pytest.mark.parametrize("p", [1e-13, 1e-12, 0.0, -1e-13])
+def test_a_transition_at_or_below_zero_tol_leaves_the_quantum_model_alone(p):
+    base = even_odd(0.5)
+    trans = dict(base.trans)
+    trans[("B", "0")] = (p, "C")  # B emits only 1
+    m = FinitePredictiveModel(base.states, base.alphabet, trans)
+    assert np.array_equal(gram_fixed_point(m), gram_fixed_point(base))
+    assert quantum_models_equal(build_qmachine(m), build_qmachine(base))
 
 
 def test_build_qmachine_single_state_is_trivial():

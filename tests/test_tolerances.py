@@ -24,7 +24,7 @@ def test_no_small_float_literal_outside_tolerances():
         if name != "tolerances.py"
         and isinstance(node, ast.Constant)
         and type(node.value) is float
-        and 0.0 < node.value < 1e-6
+        and 0.0 < node.value <= 1e-6
     ]
     assert found == []
 
