@@ -38,6 +38,7 @@ from .errors import (
 from .hmm import (
     FinitePredictiveModel,
     _directives,
+    _model_kind,
     _stationary_residual,
     parse_model,
     serialize_model,
@@ -85,15 +86,11 @@ def _format_alpha(alpha: float) -> str:
 
 
 def _parse_text(text: str):
-    for _, head, kind in _directives(text):
-        if head != "model":
-            break
-        if kind == "classical":
-            return parse_model(text)
-        if kind == "quantum":
-            return parse_quantum_model(text)
+    _, kind = _model_kind(_directives(text))
+    parse = {"classical": parse_model, "quantum": parse_quantum_model}.get(kind)
+    if parse is None:
         raise ModelFormatError(f"unknown model kind {kind!r}")
-    raise ModelFormatError("file must start with a 'model:' line")
+    return parse(text)
 
 
 def _load_any(spec: str):

@@ -14,6 +14,7 @@ import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -94,11 +95,12 @@ def validate_distribution(raw) -> Distribution:
 def pad_to(d, n: int) -> Distribution:
     """Append zero-probability events until the vector has length ``n``."""
     d = validate_distribution(d)
-    if n < len(d):
-        raise PaddingError(f"cannot pad length {len(d)} down to {n}")
-    if n == len(d):
+    size = _index(n)
+    if size < len(d):
+        raise PaddingError(f"cannot pad length {len(d)} to {n!r}")
+    if size == len(d):
         return d
-    return Distribution(np.concatenate([d.probs, np.zeros(n - len(d))]))
+    return Distribution(np.concatenate([d.probs, np.zeros(size - len(d))]))
 
 
 class MajorizationVerdict(Enum):
@@ -230,7 +232,7 @@ def _transfer(x: np.ndarray, op: TransferOp) -> float:
     """Check one transfer on ``x``, apply it in place, and return eps / gap.
 
     Legal only while it shrinks the disparity: distinct in-range indices, the
-    donor above the recipient, and 0 < amount < their gap.
+    donor above the recipient, and a real amount with 0 < amount < their gap.
     """
     i, j, eps = _index(op.donor), _index(op.recipient), op.amount
     n = len(x)
@@ -239,6 +241,8 @@ def _transfer(x: np.ndarray, op: TransferOp) -> float:
     gap = x[i] - x[j]
     if gap <= 0:
         raise IllegalTransferError(f"donor entry {x[i]:.6g} does not exceed recipient {x[j]:.6g}")
+    if not isinstance(eps, Real):
+        raise IllegalTransferError(f"amount {eps!r} is not a number")
     if not (0.0 < eps < gap):
         raise IllegalTransferError(f"amount {eps:.6g} outside (0, {gap:.6g})")
     x[i] -= eps

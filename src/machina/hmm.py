@@ -25,6 +25,9 @@ quantum model's is its density matrix rho, the Kraus maps rho -> K rho K^dag
 words for both model kinds.  ``memory()`` is what a model pays for memory (an
 HMM's stationary state, a quantum model's stationary spectrum);
 ``word_probability``, ``word_distribution`` and ``renyi_memory`` take either kind.
+
+One reader, ``_read_model_file``, owns the model-file grammar of both kinds;
+``parse_model`` here and ``quantum.parse_quantum_model`` read its output.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import Distribution, renyi_entropy, validate_distribution
+from .distributions import Distribution, _index, renyi_entropy, validate_distribution
 from .errors import (
     DuplicateTransitionError,
     ModelFormatError,
@@ -291,8 +294,8 @@ def split_state(
     """
     if target not in m.states:
         raise UnknownStateError(f"unknown state {target!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if _index(k) < 1:
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     if k == 1:
         return m
     incoming = _incoming(m, target)
@@ -362,6 +365,56 @@ def _directives(text: str):
             yield lineno, head.strip(), rest.strip()
 
 
+def _model_kind(lines) -> tuple[int | None, str]:
+    """Line number and KIND of the first of ``lines``, which must be ``model: KIND``."""
+    lineno, head, kind = next(lines, (None, None, None))
+    if head != "model":
+        raise ModelFormatError("file must start with a 'model:' line", lineno)
+    return lineno, kind
+
+
+def _read_model_file(text: str, kind: str, names: tuple, record_heads: tuple):
+    """The one reader of the model-file grammar: ``model: KIND`` first, then each of
+    ``names`` exactly once and records with ``record_heads``, in any order.  Yields the
+    header ``{name: (lineno, value)}`` once its last line is read, then each record as
+    (lineno, head, rest) in file order; only records read before that are held.
+    """
+    lines = _directives(text)
+    lineno, found = _model_kind(lines)
+    if found != kind:
+        raise ModelFormatError(f"expected 'model: {kind}', got {found!r}", lineno)
+    header = {"model": (lineno, found)}
+    early = []
+    for lineno, head, rest in lines:
+        if head in record_heads:
+            if early is None:
+                yield lineno, head, rest
+            else:
+                early.append((lineno, head, rest))
+        elif head in header:
+            raise ModelFormatError(f"duplicate {head} line", lineno)
+        elif head in names:
+            header[head] = (lineno, rest)
+            if len(header) > len(names):
+                yield header
+                yield from early
+                early = None
+        else:
+            raise ModelFormatError(f"unrecognized directive {head!r}", lineno)
+    if early is not None:
+        missing = next(name for name in names if name not in header)
+        raise ModelFormatError(f"missing {missing} line")
+
+
+def _name_list(line: tuple[int, str], what: str, items: str) -> tuple[str, ...]:
+    """The distinct names listed on a header line such as ``alphabet: 0 1``."""
+    lineno, rest = line
+    names = tuple(rest.split())
+    if not names or len(set(names)) != len(names):
+        raise ModelFormatError(f"{what} must list distinct {items}", lineno)
+    return names
+
+
 def _significant(x: float) -> str:
     return f"{x:.12g}"
 
@@ -372,63 +425,35 @@ def parse_model(text: str) -> FinitePredictiveModel:
     Syntax problems raise :class:`ModelFormatError` with the line number;
     semantic problems raise the matching validation error.
     """
-    kind = None
-    alphabet: tuple[str, ...] | None = None
-    states: tuple[str, ...] | None = None
+    records = _read_model_file(text, "classical", ("alphabet", "states"), ("t",))
+    header = next(records)
+    alphabet = _name_list(header["alphabet"], "alphabet", "symbols")
+    states = _name_list(header["states"], "states", "labels")
+    declared = set(states)
     trans: dict[tuple[str, str], tuple[float, str]] = {}
-    for lineno, head, rest in _directives(text):
-        if head == "model":
-            if kind is not None:
-                raise ModelFormatError("duplicate model line", lineno)
-            if rest != "classical":
-                raise ModelFormatError(f"expected 'model: classical', got {rest!r}", lineno)
-            kind = rest
-        elif head == "alphabet":
-            if alphabet is not None:
-                raise ModelFormatError("duplicate alphabet line", lineno)
-            alphabet = tuple(rest.split())
-            if not alphabet or len(set(alphabet)) != len(alphabet):
-                raise ModelFormatError("alphabet must list distinct symbols", lineno)
-        elif head == "states":
-            if states is not None:
-                raise ModelFormatError("duplicate states line", lineno)
-            states = tuple(rest.split())
-            declared = set(states)
-            if not states or len(declared) != len(states):
-                raise ModelFormatError("states must list distinct labels", lineno)
-        elif head == "t":
-            if kind is None or alphabet is None or states is None:
-                raise ModelFormatError("transitions before model/alphabet/states", lineno)
-            fields = rest.split()
-            if len(fields) != 4:
-                raise ModelFormatError("expected 't: FROM SYMBOL PROB TO'", lineno)
-            src, sym, prob_tok, dst = fields
-            if src not in declared:
-                raise UnknownStateError(f"line {lineno}: unknown state {src!r}")
-            if dst not in declared:
-                raise UnknownStateError(f"line {lineno}: unknown state {dst!r}")
-            if sym not in alphabet:
-                raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
-            p = _parse_number(prob_tok, lineno)
-            if not (0 <= p <= 1 + EQUAL_TOL):
-                raise ModelFormatError(f"probability {prob_tok!r} outside [0, 1]", lineno)
-            key = (src, sym)
-            if key in trans:
-                prev_p, prev_dst = trans[key]
-                if prev_dst != dst:
-                    raise NotUnifilarError(
-                        f"line {lineno}: ({src}, {sym}) already goes to {prev_dst!r}"
-                    )
-                raise DuplicateTransitionError(
-                    f"line {lineno}: duplicate transition ({src}, {sym})"
+    for lineno, _, rest in records:
+        fields = rest.split()
+        if len(fields) != 4:
+            raise ModelFormatError("expected 't: FROM SYMBOL PROB TO'", lineno)
+        src, sym, prob_tok, dst = fields
+        if src not in declared:
+            raise UnknownStateError(f"line {lineno}: unknown state {src!r}")
+        if dst not in declared:
+            raise UnknownStateError(f"line {lineno}: unknown state {dst!r}")
+        if sym not in alphabet:
+            raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
+        p = _parse_number(prob_tok, lineno)
+        if not (0 <= p <= 1 + EQUAL_TOL):
+            raise ModelFormatError(f"probability {prob_tok!r} outside [0, 1]", lineno)
+        key = (src, sym)
+        if key in trans:
+            prev_p, prev_dst = trans[key]
+            if prev_dst != dst:
+                raise NotUnifilarError(
+                    f"line {lineno}: ({src}, {sym}) already goes to {prev_dst!r}"
                 )
-            trans[key] = (p, dst)
-        else:
-            raise ModelFormatError(f"unrecognized directive {head!r}", lineno)
-    if kind is None:
-        raise ModelFormatError("missing 'model:' line")
-    if alphabet is None or states is None:
-        raise ModelFormatError("missing alphabet or states declaration")
+            raise DuplicateTransitionError(f"line {lineno}: duplicate transition ({src}, {sym})")
+        trans[key] = (p, dst)
     return FinitePredictiveModel(states, alphabet, trans)
 
 

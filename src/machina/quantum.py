@@ -16,6 +16,7 @@ least-squares solutions of K S = S'_x on the state span.  The memory
 cost of a model is the Renyi entropy of the eigenvalue spectrum of its
 stationary density matrix, which always majorizes the stationary state of
 the classical read-off; that read-off is found when a model is validated.
+The file grammar is read by ``hmm._read_model_file``, the reader of both kinds.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ from .errors import (
 from .hmm import (
     FinitePredictiveModel,
     LinearRep,
-    _directives,
+    _name_list,
     _parse_number,
+    _read_model_file,
     stationary,
 )
 from .minimize import is_epsilon_machine
@@ -413,37 +415,20 @@ def _parse_pairs(text: str, lineno: int) -> np.ndarray:
 
 def parse_quantum_model(text: str) -> PureStateQuantumModel:
     """Parse the line-oriented quantum model format."""
-    kind = None
-    dim: int | None = None
-    alphabet: tuple[str, ...] | None = None
+    records = _read_model_file(text, "quantum", ("dim", "alphabet"), ("state", "kraus"))
+    header = next(records)
+    lineno, rest = header["dim"]
+    if not (rest.isascii() and rest.isdigit()):
+        raise ModelFormatError(f"bad dimension {rest!r}", lineno)
+    dim = int(rest)
+    if dim < 1:
+        raise ModelFormatError("dimension must be positive", lineno)
+    alphabet = _name_list(header["alphabet"], "alphabet", "symbols")
     labels: list[str] = []
     state_cols: list[np.ndarray] = []
     kraus: dict[str, np.ndarray] = {}
-    for lineno, head, rest in _directives(text):
-        if head == "model":
-            if kind is not None:
-                raise ModelFormatError("duplicate model line", lineno)
-            if rest != "quantum":
-                raise ModelFormatError(f"expected 'model: quantum', got {rest!r}", lineno)
-            kind = rest
-        elif head == "dim":
-            if dim is not None:
-                raise ModelFormatError("duplicate dim line", lineno)
-            try:
-                dim = int(rest)
-            except ValueError as exc:
-                raise ModelFormatError(f"bad dimension {rest!r}", lineno) from exc
-            if dim < 1:
-                raise ModelFormatError("dimension must be positive", lineno)
-        elif head == "alphabet":
-            if alphabet is not None:
-                raise ModelFormatError("duplicate alphabet line", lineno)
-            alphabet = tuple(rest.split())
-            if not alphabet or len(set(alphabet)) != len(alphabet):
-                raise ModelFormatError("alphabet must list distinct symbols", lineno)
-        elif head == "state":
-            if dim is None:
-                raise ModelFormatError("state before dim", lineno)
+    for lineno, head, rest in records:
+        if head == "state":
             fields = rest.split(None, 1)
             if len(fields) != 2:
                 raise ModelFormatError("expected 'state: LABEL (re,im) ...'", lineno)
@@ -455,9 +440,7 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
                 raise ModelFormatError(f"state {label!r} has {len(entries)} != {dim} entries", lineno)
             labels.append(label)
             state_cols.append(entries)
-        elif head == "kraus":
-            if dim is None or alphabet is None:
-                raise ModelFormatError("kraus before dim/alphabet", lineno)
+        else:
             fields = rest.split(None, 1)
             if len(fields) != 2:
                 raise ModelFormatError("expected 'kraus: SYMBOL rows'", lineno)
@@ -470,12 +453,8 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
             kraus[sym] = np.array(rows, dtype=complex)
-        else:
-            raise ModelFormatError(f"unrecognized directive {head!r}", lineno)
-    if kind is None:
-        raise ModelFormatError("missing 'model:' line")
-    if dim is None or alphabet is None or not labels:
-        raise ModelFormatError("missing dim, alphabet, or states")
+    if not labels:
+        raise ModelFormatError("missing state line")
     missing = [x for x in alphabet if x not in kraus]
     if missing:
         raise ModelFormatError(f"missing kraus operators for {missing}")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import d3, q3
-from .distributions import MajorizationVerdict, compare, renyi_entropy
+from .distributions import MajorizationVerdict, _index, compare, renyi_entropy
 from .errors import (
     MachinaError,
     SingularThetaError,
@@ -210,7 +210,7 @@ def uniqueness_sweep(grid_size: int = 10_000) -> SweepReport:
     The residual minimum on each sign must land within one grid cell of
     +-pi for the sweep to pass.
     """
-    if grid_size < 100:
+    if _index(grid_size) < 100:
         raise ValueError(f"grid must have at least 100 points, got {grid_size}")
     pos = np.linspace(PHYSICAL_MIN + SWEEP_OFFSET, math.pi, grid_size)
     spacing = float(pos[1] - pos[0])

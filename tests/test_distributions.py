@@ -33,6 +33,7 @@ from machina.errors import (
     PaddingError,
 )
 from machina.hmm import stationary
+from machina.quantum import spectrum
 from random_models import random_unifilar_model
 
 FIG2_P = [3 / 4, 1 / 8, 1 / 8, 0, 0]
@@ -87,6 +88,14 @@ def test_pad_identity():
 def test_pad_too_small():
     with pytest.raises(PaddingError):
         pad_to([0.5, 0.5], 1)
+    # a length that is not an integer is too small for every vector
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(PaddingError, match=f"^cannot pad length 2 to {re.escape(repr(bad))}$"):
+            pad_to([0.5, 0.5], bad)
+    with pytest.raises(PaddingError, match="^cannot pad length 2 to 3.0$"):
+        chain_to_doubly_stochastic([], [0.5, 0.5], 3.0)
+    with pytest.raises(PaddingError, match="^cannot pad length 2 to 2.5$"):
+        spectrum(np.eye(2) / 2, 2.5)
 
 
 def test_padding_makes_vectors_equivalent():
@@ -249,10 +258,12 @@ def test_doubly_stochastic_maps_sorted_vectors():
         (TransferOp(0, 1, 0.3), "amount 0.3 outside (0, 0.2)"),
         (TransferOp(0, 1.0, 0.1), "bad index pair (0, 1.0) for length 3"),
         (TransferOp(0, True, 0.1), "bad index pair (0, True) for length 3"),
+        (TransferOp(0, 1, None), "amount None is not a number"),
+        (TransferOp(0, 1, "0.1"), "amount '0.1' is not a number"),
     ],
     ids=[
         "donor-minus-one", "recipient-minus-one", "donor-n", "recipient-n", "amount-past-gap",
-        "float-recipient", "bool-recipient",
+        "float-recipient", "bool-recipient", "none-amount", "string-amount",
     ],
 )
 def test_doubly_stochastic_rejects_what_apply_transfer_rejects(op, message):

@@ -289,6 +289,12 @@ def test_split_requires_surjective_router():
         split_state(biased_coin(0.6), "A", 2, {("A", "1"): 0, ("A", "0"): 0})
 
 
+@pytest.mark.parametrize("k", [0, 2.5, 2.0, True])
+def test_split_k_must_be_a_positive_integer(k):
+    with pytest.raises(ValueError, match=f"^k must be an integer of at least 1, got {k!r}$"):
+        split_state(even_odd(0.5), "A", k, router={("B", "1"): 0, ("D", "1"): 1})
+
+
 def test_split_router_must_cover_incoming():
     with pytest.raises(UnreachableCopyError):
         split_state(biased_coin(0.6), "A", 2, {("A", "1"): 0})
