@@ -26,6 +26,13 @@ words for both model kinds.  ``memory()`` is what a model pays for memory (an
 HMM's stationary state, a quantum model's stationary spectrum);
 ``word_probability``, ``word_distribution`` and ``renyi_memory`` take either kind.
 
+The stationary state is solved by blocked GTH state elimination on the summed
+matrix with its rows scaled to sum to 1: no step subtracts, so each entry is
+accurate to its last digits, and no ``np.linalg`` routine is called.  A
+residual max|pi T - pi| above ``EIG_TOL`` against that scaled chain, or a
+negative entry, raises ``NoConvergenceError``.  A classical model solves once
+and keeps the result for ``memory()`` and ``linear_rep()``.
+
 One reader, ``_read_model_file``, owns the model-file grammar of both kinds;
 ``parse_model`` here and ``quantum.parse_quantum_model`` read its output.
 """
@@ -37,6 +44,7 @@ import operator
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -158,7 +166,7 @@ class FinitePredictiveModel:
     def linear_rep(self, start: str | None = None) -> LinearRep:
         """Word-probability view: stationary mix (or one state), symbol matrices, sum."""
         if start is None:
-            vec = stationary(self).probs
+            vec = self.memory().probs
         elif start in self.states:
             vec = np.zeros(len(self.states))
             vec[self.states.index(start)] = 1.0
@@ -169,6 +177,11 @@ class FinitePredictiveModel:
 
     def memory(self) -> Distribution:
         """What the model pays for memory: its stationary state distribution."""
+        return self._stationary
+
+    @cached_property
+    def _stationary(self) -> Distribution:
+        # one solve per instance: the model and the Distribution are both immutable
         return stationary(self)
 
     def total_matrix(self) -> np.ndarray:
@@ -189,32 +202,88 @@ def models_equal(a: FinitePredictiveModel, b: FinitePredictiveModel) -> bool:
 
 
 def stationary(m: FinitePredictiveModel) -> Distribution:
-    """Left fixed vector of the summed transition matrix, normalized to 1.
+    """Left fixed vector of the summed transition matrix, rows scaled to sum to 1.
 
-    Solved directly as the least-squares solution of the singular system with
-    a normalization row appended.  A solution whose residual exceeds
-    ``EIG_TOL``, or with an entry below ``-EIG_TOL``, raises
-    ``NoConvergenceError``.
+    The constructor lets a row sum miss 1 by ``EQUAL_TOL``; the chain solved,
+    and the one the residual is measured against, has every row scaled to 1.
+    Solved by blocked GTH state elimination (Grassmann, Taksar & Heyman,
+    Oper. Res. 33(5), 1985), see ``_gth``: every step adds or multiplies
+    nonnegative numbers, so each entry is accurate to a few units in its last
+    place even on nearly decoupled chains (O'Cinneide, Numer. Math. 65, 1993).
+    A solution whose residual exceeds ``EIG_TOL``, or with a negative (or
+    NaN) entry, raises ``NoConvergenceError``.
     """
     t_mat = m.total_matrix()
-    n = len(m.states)
-    system = np.vstack([t_mat.T - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    pi = _gth(t_mat)
     residual = _stationary_residual(pi, t_mat)
-    if residual > EIG_TOL or pi.min() < -EIG_TOL:
+    if not (residual <= EIG_TOL and pi.min() >= 0.0):
         msg = f"stationary solve missed: residual {residual:.3g}, smallest entry {pi.min():.3g}"
         raise NoConvergenceError(msg)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    if _stationary_residual(pi, t_mat) > EIG_TOL:
-        raise NoConvergenceError(f"stationary solve did not reach residual {EIG_TOL:g}")
     return validate_distribution(pi)
 
 
 def _stationary_residual(pi: np.ndarray, t_mat: np.ndarray) -> float:
-    return float(np.max(np.abs(pi @ t_mat - pi)))
+    """max |pi T^ - pi|, where T^ is ``t_mat`` with each row scaled to sum to 1."""
+    return float(np.max(np.abs((pi / t_mat.sum(axis=1)) @ t_mat - pi)))
+
+
+#: states eliminated per block in ``_gth``: each pivot costs a few numpy calls on
+#: arrays of this size, and the rest of the work is matrix products
+_GTH_BLOCK = 32
+
+
+def _gth(t_mat: np.ndarray) -> np.ndarray:
+    """Stationary row vector of the irreducible ``t_mat`` with its rows scaled to
+    sum to 1, by blocked GTH elimination; sums to 1.
+
+    States are eliminated from the last block to the first.  With C the states
+    before a block K, the chain on C is the stochastic complement
+    P_CC + P_CK (I - P_KK)^-1 P_KC.  GTH inside K factors I - P_KK as
+    (I - N_U) D (I - N_L) with strictly triangular N_U, N_L >= 0, where each
+    pivot in D is the row's mass to the uneliminated states: its off-diagonal
+    mass within K plus ``aug[:, 0]``, the mass to C, never 1 - P_kk.  Both
+    inverses are nonnegative Neumann products, so the panels
+    L = P_CK (I - N_L)^-1 D^-1 and W = (I - N_U)^-1 and the update
+    P_CC += L (W P_KC) subtract nothing.  Back-substitution runs from the
+    first block, whose leading state carries the unnormalized mass 1:
+    pi_K = (pi_C L) W.
+    """
+    p = t_mat / t_mat.sum(axis=1, keepdims=True)
+    n = len(p)
+    starts = range(0, n, _GTH_BLOCK)
+    for c in reversed(starts):
+        e = min(c + _GTH_BLOCK, n)
+        aug = np.empty((e - c, e - c + 1))  # column 0: mass to C; then P_KK
+        aug[:, 0] = p[c:e, :c].sum(axis=1)
+        aug[:, 1:] = p[c:e, c:e]
+        pivots = np.ones(e - c)
+        for k in range(e - c - 1, 0 if c == 0 else -1, -1):  # state 0 is never eliminated
+            pivots[k] = aug[k, : k + 1].sum()
+            col = aug[:k, k + 1]
+            col /= pivots[k]
+            aug[:k, : k + 1] += col[:, None] * aug[k, : k + 1]
+        block = aug[:, 1:]
+        w = _neumann(np.triu(block, 1))
+        if c:
+            panel = p[:c, c:e] @ _neumann(np.tril(block, -1) / pivots[:, None]) / pivots
+            p[:c, :c] += panel @ (w @ p[c:e, :c])
+            p[:c, c:e] = panel
+        p[c:e, c:e] = w
+    pi = np.empty(n)
+    pi[:_GTH_BLOCK] = p[0, :_GTH_BLOCK]
+    for c in starts[1:]:
+        e = min(c + _GTH_BLOCK, n)
+        pi[c:e] = (pi[:c] @ p[:c, c:e]) @ p[c:e, c:e]
+    return pi / pi.sum()
+
+
+def _neumann(nil: np.ndarray) -> np.ndarray:
+    """(I - N)^-1 = (I + N)(I + N^2)(I + N^4)... for a nilpotent b x b ``nil`` >= 0."""
+    inv, power = np.eye(len(nil)) + nil, nil
+    for _ in range((len(nil) - 1).bit_length() - 1):  # until power^2 reaches N^b = 0
+        power = power @ power
+        inv += inv @ power
+    return inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,9 +444,10 @@ def _model_kind(lines) -> tuple[int | None, str]:
 
 def _read_model_file(text: str, kind: str, names: tuple, record_heads: tuple):
     """The one reader of the model-file grammar: ``model: KIND`` first, then each of
-    ``names`` exactly once and records with ``record_heads``, in any order.  Yields the
-    header ``{name: (lineno, value)}`` once its last line is read, then each record as
-    (lineno, head, rest) in file order; only records read before that are held.
+    ``names`` exactly once and records with ``record_heads``, in any order, the first
+    head at least once.  Yields the header ``{name: (lineno, value)}`` once its last
+    line is read, then each record as (lineno, head, rest) in file order; only records
+    read before that are held.
     """
     lines = _directives(text)
     lineno, found = _model_kind(lines)
@@ -385,8 +455,10 @@ def _read_model_file(text: str, kind: str, names: tuple, record_heads: tuple):
         raise ModelFormatError(f"expected 'model: {kind}', got {found!r}", lineno)
     header = {"model": (lineno, found)}
     early = []
+    seen_first = False
     for lineno, head, rest in lines:
         if head in record_heads:
+            seen_first = seen_first or head == record_heads[0]
             if early is None:
                 yield lineno, head, rest
             else:
@@ -404,6 +476,8 @@ def _read_model_file(text: str, kind: str, names: tuple, record_heads: tuple):
     if early is not None:
         missing = next(name for name in names if name not in header)
         raise ModelFormatError(f"missing {missing} line")
+    if not seen_first:
+        raise ModelFormatError(f"missing {record_heads[0]} line")
 
 
 def _name_list(line: tuple[int, str], what: str, items: str) -> tuple[str, ...]:

@@ -453,8 +453,6 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
             kraus[sym] = np.array(rows, dtype=complex)
-    if not labels:
-        raise ModelFormatError("missing state line")
     missing = [x for x in alphabet if x not in kraus]
     if missing:
         raise ModelFormatError(f"missing kraus operators for {missing}")

@@ -28,12 +28,13 @@ axes, so a spot check at one angle runs the same code as the sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import d3, q3
-from .distributions import MajorizationVerdict, _index, compare, renyi_entropy
+from .distributions import MajorizationVerdict, compare, renyi_entropy
 from .errors import (
     MachinaError,
     SingularThetaError,
@@ -210,7 +211,9 @@ def uniqueness_sweep(grid_size: int = 10_000) -> SweepReport:
     The residual minimum on each sign must land within one grid cell of
     +-pi for the sweep to pass.
     """
-    if _index(grid_size) < 100:
+    if isinstance(grid_size, bool) or not isinstance(grid_size, numbers.Integral):
+        raise ValueError(f"grid must be an integer, got {grid_size}")
+    if grid_size < 100:
         raise ValueError(f"grid must have at least 100 points, got {grid_size}")
     pos = np.linspace(PHYSICAL_MIN + SWEEP_OFFSET, math.pi, grid_size)
     spacing = float(pos[1] - pos[0])

@@ -117,8 +117,8 @@ def test_a_repeated_header_line_is_a_duplicate(name, head, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name,head",
-    [("mbw3", "alphabet"), ("mbw3", "states"), ("q3", "dim"), ("q3", "alphabet"),
-     ("q3", "state")],
+    [("mbw3", "alphabet"), ("mbw3", "states"), ("mbw3", "t"), ("q3", "dim"),
+     ("q3", "alphabet"), ("q3", "state")],
 )
 def test_a_missing_line_is_named(name, head, tmp_path, capsys):
     _, text, parse = next(e for e in EXPORTED if e[0] == name)

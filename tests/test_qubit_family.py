@@ -170,11 +170,10 @@ def test_sweep_finds_unique_zero():
 
 
 def test_sweep_rejects_small_grids():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid must have at least 100 points, got 50$"):
         uniqueness_sweep(50)
-    # a grid size that is not an integer counts as too small
     for size in (150.5, 150.0):
-        with pytest.raises(ValueError, match=f"got {size}$"):
+        with pytest.raises(ValueError, match=f"^grid must be an integer, got {size}$"):
             uniqueness_sweep(size)
 
 
