@@ -21,6 +21,7 @@ import numpy as np
 from .catalog import catalog_names, get_process
 from .distributions import (
     ALPHA_GRID,
+    _significant,
     compare,
     lorenz_curve,
     pad_to,
@@ -67,10 +68,6 @@ _USAGE_ERRORS = (
     SingularThetaError,
     ValueError,
 )
-
-
-def _csv_num(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _human_num(x: float) -> str:
@@ -141,11 +138,18 @@ def _lorenz_pair(dist_a, dist_b):
     return compare(dist_a, dist_b), [(int(k), ca, cb) for k, ca, cb in rows]
 
 
+def _print_entropies(rows, left: str, right: str):
+    """The human ``(alpha, left, right)`` entropy table of a minimality or advantage report."""
+    print(f"{'alpha':<8}{left:<14}{right}")
+    for a, h_left, h_right in rows:
+        print(f"{_format_alpha(a):<8}{_human_num(h_left):<14}{_human_num(h_right)}")
+
+
 def lorenz_pair_csv(dist_a, dist_b) -> str:
     """Two Lorenz curves as CSV: the verdict line, then ``k,cumulative_a,cumulative_b``."""
     verdict, rows = _lorenz_pair(dist_a, dist_b)
     lines = [f"verdict,{verdict}", "k,cumulative_a,cumulative_b"]
-    lines += [f"{k},{_csv_num(ca)},{_csv_num(cb)}" for k, ca, cb in rows]
+    lines += [f"{k},{_significant(ca)},{_significant(cb)}" for k, ca, cb in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -182,7 +186,7 @@ def cmd_entropy(args) -> int:
     if args.format == "csv":
         print("alpha,bits")
         for a, bits in rows:
-            print(f"{_format_alpha(a)},{_csv_num(bits)}")
+            print(f"{_format_alpha(a)},{_significant(bits)}")
     else:
         label = "S_alpha" if isinstance(model, PureStateQuantumModel) else "H_alpha"
         print(f"{'alpha':<8}{label} (bits)")
@@ -231,9 +235,7 @@ def cmd_epsilonize(args) -> int:
         print(f"  {name} <- {{{' '.join(sorted(block))}}}")
     print(f"states: {len(model.states)} -> {len(report.machine.states)}")
     print(f"verdict: {report.verdict}")
-    print(f"{'alpha':<8}{'H_machine':<14}H_model")
-    for a, h_machine, h_model in report.entropies:
-        print(f"{_format_alpha(a):<8}{_human_num(h_machine):<14}{_human_num(h_model)}")
+    _print_entropies(report.entropies, "H_machine", "H_model")
     print(wrote, end="")
     return 0
 
@@ -260,9 +262,7 @@ def cmd_qmachine(args) -> int:
         print("  " + " ".join(f"{v:>10.6g}" for v in row))
     print("spectrum: " + " ".join(_human_num(v) for v in report.spectrum.probs))
     print(f"verdict: {report.verdict}")
-    print(f"{'alpha':<8}{'S_quantum':<14}H_classical")
-    for a, s_q, h_c in report.entropies:
-        print(f"{_format_alpha(a):<8}{_human_num(s_q):<14}{_human_num(h_c)}")
+    _print_entropies(report.entropies, "S_quantum", "H_classical")
     print(wrote, end="")
     return 0
 
@@ -296,7 +296,7 @@ def cmd_wordprob(args) -> int:
     if args.format == "csv":
         print("word,probability,classical_delta" if quantum else "word,probability")
         for word, p, delta in rows:
-            print(f"{word},{_csv_num(p)}" + (f",{_csv_num(delta)}" if quantum else ""))
+            print(f"{word},{_significant(p)}" + (f",{_significant(delta)}" if quantum else ""))
     elif args.word is not None:
         word, p, delta = rows[0]
         print(f"P({word}) = {_human_num(p)}")

@@ -161,25 +161,20 @@ def lorenz_curve(d) -> LorenzCurve:
     return LorenzCurve(k=np.arange(len(d) + 1), cumulative=cum)
 
 
-def lorenz_dominates(p, q) -> bool:
-    """True iff every Lorenz point of ``p`` sits at or above that of ``q``.
+def _significant(x: float) -> str:
+    """12 significant digits, as every CSV writer and ``serialize_model`` print a number.
 
-    Independent route to the prefix-sum criterion, kept separate so the two
-    can be cross-checked.
+    ``quantum._pairs`` spells the same format inline: it formats every entry of
+    a quantum model file, where a call per number would cost time.
     """
-    p = validate_distribution(p)
-    q = validate_distribution(q)
-    n = max(len(p), len(q))
-    cp = lorenz_curve(pad_to(p, n)).cumulative
-    cq = lorenz_curve(pad_to(q, n)).cumulative
-    return bool(np.all(cp >= cq - comparison_tolerance()))
+    return f"{x:.12g}"
 
 
 def lorenz_csv(curve: LorenzCurve) -> str:
     """Serialize one curve: header ``k,cumulative``, 12 significant digits, LF."""
     lines = ["k,cumulative"]
     for k, c in zip(curve.k, curve.cumulative):
-        lines.append(f"{int(k)},{c:.12g}")
+        lines.append(f"{int(k)},{_significant(c)}")
     return "\n".join(lines) + "\n"
 
 

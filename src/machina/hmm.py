@@ -31,7 +31,8 @@ matrix with its rows scaled to sum to 1: no step subtracts, so each entry is
 accurate to its last digits, and no ``np.linalg`` routine is called.  A
 residual max|pi T - pi| above ``EIG_TOL`` against that scaled chain, or a
 negative entry, raises ``NoConvergenceError``.  A classical model solves once
-and keeps the result for ``memory()`` and ``linear_rep()``.
+and keeps the result for ``memory()`` and ``linear_rep()``; a quantum model
+keeps its classical read-off, so its stationary state is solved once too.
 
 One reader, ``_read_model_file``, owns the model-file grammar of both kinds;
 ``parse_model`` here and ``quantum.parse_quantum_model`` read its output.
@@ -49,7 +50,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import Distribution, _index, renyi_entropy, validate_distribution
+from .distributions import Distribution, _index, _significant, renyi_entropy, validate_distribution
 from .errors import (
     DuplicateTransitionError,
     ModelFormatError,
@@ -487,10 +488,6 @@ def _name_list(line: tuple[int, str], what: str, items: str) -> tuple[str, ...]:
     if not names or len(set(names)) != len(names):
         raise ModelFormatError(f"{what} must list distinct {items}", lineno)
     return names
-
-
-def _significant(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def parse_model(text: str) -> FinitePredictiveModel:

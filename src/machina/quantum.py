@@ -15,7 +15,9 @@ The states are then any vectors realizing G and the Kraus operators the
 least-squares solutions of K S = S'_x on the state span.  The memory
 cost of a model is the Renyi entropy of the eigenvalue spectrum of its
 stationary density matrix, which always majorizes the stationary state of
-the classical read-off; that read-off is found when a model is validated.
+the classical read-off, the unifilar HMM of the Kraus images.  A model keeps
+that HMM (built on first use, so its stationary state is solved once) and
+its spectrum, but not the dim x dim density.
 The file grammar is read by ``hmm._read_model_file``, the reader of both kinds.
 """
 
@@ -26,6 +28,7 @@ import re
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -57,7 +60,6 @@ from .hmm import (
     _name_list,
     _parse_number,
     _read_model_file,
-    stationary,
 )
 from .minimize import is_epsilon_machine
 from .tolerances import EIG_TOL, EQUAL_TOL, STEP_TOL, ZERO_TOL
@@ -142,7 +144,20 @@ class PureStateQuantumModel:
 
     def memory(self) -> Distribution:
         """What the model pays for memory: the spectrum of its stationary density."""
+        return self._memory
+
+    @cached_property
+    def _memory(self) -> Distribution:
+        # one spectrum per instance, as a classical model keeps its stationary state
         return memory_spectrum(self)
+
+    @cached_property
+    def _classical(self) -> FinitePredictiveModel:
+        # a cached_property that raises stores nothing: an ambiguity raises on every call
+        trans, ambiguous = self._read_off
+        if ambiguous is not None:
+            raise AmbiguousSuccessorError(ambiguous)
+        return FinitePredictiveModel(self.labels, self.alphabet, trans)
 
 
 class _KrausMap:
@@ -164,13 +179,13 @@ def completeness_residual(q: PureStateQuantumModel) -> float:
     return float(np.linalg.norm(acc - np.eye(q.dim), 2))
 
 
-def _walk_images(q: PureStateQuantumModel) -> tuple[np.ndarray, np.ndarray, str | None]:
+def _walk_images(q: PureStateQuantumModel) -> tuple[Mapping, str | None]:
     """Check unifilarity; read off the images K|s> with p = <Ks|Ks> above ``ZERO_TOL`` as
-    ``FinitePredictiveModel``-style probs/succ, plus the first ambiguity's message or None."""
-    probs, succ = np.zeros((q.n, len(q.alphabet))), np.full((q.n, len(q.alphabet)), -1)
-    ambiguous = None
+    read-only transitions {(label, symbol): (p, successor label)}, symbol by symbol,
+    plus the first ambiguity's message or None."""
+    trans, ambiguous = {}, None
     bras = q.states.conj().T
-    for j, x in enumerate(q.alphabet):
+    for x in q.alphabet:
         images = q.kraus[x] @ q.states
         for i, label in enumerate(q.labels):
             p = float(np.real(np.vdot(images[:, i], images[:, i])))
@@ -184,12 +199,10 @@ def _walk_images(q: PureStateQuantumModel) -> tuple[np.ndarray, np.ndarray, str 
                     )
                 hits = np.flatnonzero(overlaps > 1.0 - EQUAL_TOL)
                 if p > ZERO_TOL and hits.size == 1:
-                    probs[i, j], succ[i, j] = min(p, 1.0), hits[0]
+                    trans[(label, x)] = (min(p, 1.0), q.labels[hits[0]])
                 elif p > ZERO_TOL and ambiguous is None:
                     ambiguous = f"state {label!r} under K[{x!r}]: {hits.size} matching states"
-    probs.setflags(write=False)
-    succ.setflags(write=False)
-    return probs, succ, ambiguous
+    return MappingProxyType(trans), ambiguous
 
 
 # -------------------------------------------------------- overlap recursion
@@ -303,19 +316,12 @@ def build_qmachine(m: FinitePredictiveModel) -> PureStateQuantumModel:
 
 # -------------------------------------------------------- stationary objects
 
-def _label_weights(q: PureStateQuantumModel, pi=None) -> Distribution:
-    """``pi`` validated, or by default the stationary state of the classical read-off."""
-    if pi is None:
-        return stationary(classical_equivalent(q))
-    return validate_distribution(pi)
-
-
 def stationary_density(q: PureStateQuantumModel, pi=None) -> np.ndarray:
     """Stationary density matrix: the pi-weighted mix of the state projectors.
 
     ``pi`` defaults to the stationary state of the classical read-off.
     """
-    pi = _label_weights(q, pi)
+    pi = classical_equivalent(q).memory() if pi is None else validate_distribution(pi)
     if len(pi) != q.n:
         raise DimensionMismatchError(f"stationary length {len(pi)} != {q.n} labels")
     rho = (q.states * pi.probs) @ q.states.conj().T
@@ -336,20 +342,13 @@ def spectrum(density: np.ndarray, pad_to_n: int) -> Distribution:
 
 
 def classical_equivalent(q: PureStateQuantumModel) -> FinitePredictiveModel:
-    """Unifilar HMM read off a quantum model; the read-off is found at validation.
+    """Unifilar HMM read off a quantum model, built once and kept by the model.
 
     Emission probabilities are the quadratic forms <s|K^dag K|s>; the
     successor is the unique label whose state matches the normalized image
-    up to a global phase.
+    up to a global phase; more than one match raises ``AmbiguousSuccessorError``.
     """
-    probs, succ, ambiguous = q._read_off
-    if ambiguous is not None:
-        raise AmbiguousSuccessorError(ambiguous)
-    trans = {}
-    for j, x in enumerate(q.alphabet):
-        for i in np.flatnonzero(succ[:, j] >= 0):
-            trans[(q.labels[i], x)] = (float(probs[i, j]), q.labels[succ[i, j]])
-    return FinitePredictiveModel(q.labels, q.alphabet, trans)
+    return q._classical
 
 
 def memory_spectrum(q: PureStateQuantumModel) -> Distribution:
@@ -383,7 +382,7 @@ def strong_advantage_report(q: PureStateQuantumModel, pi=None) -> AdvantageRepor
     source model's stationary state instead when the read-off is ambiguous
     (duplicate memory vectors after synthesizing a non-minimal input).
     """
-    pi = _label_weights(q, pi)
+    pi = classical_equivalent(q).memory() if pi is None else validate_distribution(pi)
     lam = spectrum(stationary_density(q, pi), q.n)
     verdict = compare(lam, pi)
     rows = tuple((a, renyi_entropy(lam, a), renyi_entropy(pi, a)) for a in ALPHA_GRID)

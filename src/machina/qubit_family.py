@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import d3, q3
-from .distributions import MajorizationVerdict, compare, renyi_entropy
+from .distributions import MajorizationVerdict, _significant, compare, renyi_entropy
 from .errors import (
     MachinaError,
     SingularThetaError,
@@ -254,7 +254,7 @@ def uniqueness_sweep(grid_size: int = 10_000) -> SweepReport:
 def sweep_csv(report: SweepReport) -> str:
     lines = ["theta,matrix_residual,analytic_residual"]
     for th, r, a in zip(report.thetas, report.residuals, report.analytic):
-        lines.append(f"{th:.12g},{r:.12g},{a:.12g}")
+        lines.append(",".join(map(_significant, (th, r, a))))
     return "\n".join(lines) + "\n"
 
 

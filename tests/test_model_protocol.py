@@ -9,11 +9,20 @@ import numpy as np
 import pytest
 
 import machina
-from machina import hmm
-from machina.catalog import catalog_names, get_process, mbw3
+from machina import catalog, hmm
+from machina.catalog import catalog_names, get_process
+from machina.cli import main
 from machina.distributions import ALPHA_GRID, renyi_entropy
+from machina.errors import AmbiguousSuccessorError
 from machina.hmm import renyi_memory, stationary, word_probability
-from machina.quantum import PureStateQuantumModel, memory_spectrum
+from machina.quantum import (
+    PureStateQuantumModel,
+    classical_equivalent,
+    memory_spectrum,
+    parse_quantum_model,
+    strong_advantage_report,
+)
+from test_quantum import TWIN_STATES_FILE
 
 MODEL_CLASSES = {"FinitePredictiveModel", "PureStateQuantumModel"}
 
@@ -28,17 +37,49 @@ def test_memory_is_the_stationary_state_or_the_spectrum(name):
         assert renyi_memory(model, alpha) == renyi_entropy(memory, alpha)
 
 
-def test_a_classical_model_solves_its_stationary_state_once(monkeypatch):
+def _count_solves(monkeypatch) -> list:
+    """Record each stationary solve, however it is reached."""
     solves = []
-    solve = hmm.stationary
-    monkeypatch.setattr(hmm, "stationary", lambda m: solves.append(m) or solve(m))
-    model = mbw3()
+    gth = hmm._gth
+    monkeypatch.setattr(hmm, "_gth", lambda t_mat: solves.append(len(t_mat)) or gth(t_mat))
+    return solves
+
+
+@pytest.mark.parametrize("name", ["mbw3", "d3"])
+def test_a_classical_model_solves_its_stationary_state_once(name, monkeypatch):
+    # a quantum model's classical stationary state is its read-off's, kept the same way
+    solves = _count_solves(monkeypatch)
+    model = get_process(name)
     words = list(itertools.product(model.alphabet, repeat=2))
     for word in words:
         word_probability(model, word)
     assert len(words) == 9
-    assert renyi_memory(model, 2) == renyi_entropy(model.memory(), 2)
-    assert solves == [model]
+    memory, again = model.memory(), model.memory()
+    assert renyi_memory(model, 2) == renyi_entropy(memory, 2)
+    if isinstance(model, PureStateQuantumModel):
+        strong_advantage_report(model)
+    assert len(solves) == 1
+    assert again is memory
+
+
+def test_a_quantum_model_keeps_its_read_off():
+    q = get_process("d3")
+    assert classical_equivalent(q) is classical_equivalent(q)
+
+
+def test_an_ambiguous_read_off_raises_on_every_call():
+    twin = parse_quantum_model(TWIN_STATES_FILE)
+    for _ in range(2):
+        with pytest.raises(AmbiguousSuccessorError, match="2 matching states"):
+            twin.memory()
+
+
+def test_wordprob_on_a_quantum_model_solves_once(monkeypatch, capsys):
+    catalog.q3.cache_clear()  # a fresh q3, whose read-off no earlier test has solved
+    solves = _count_solves(monkeypatch)
+    assert main(["wordprob", "--process", "q3", "--max-len", "3"]) == 0
+    assert "max classical-equivalent delta" in capsys.readouterr().out
+    assert len(solves) == 1
 
 
 def _model_dispatch(tree: ast.AST, where: str):
@@ -56,3 +97,14 @@ def test_only_the_cli_dispatches_on_the_model_kind():
         if path.name != "cli.py":
             found += _model_dispatch(ast.parse(path.read_text(encoding="utf-8")), path.name)
     assert found == []
+
+
+def test_quantum_reaches_the_classical_stationary_state_only_through_the_read_off():
+    # the read-off's memory() is the one route, so no re-solve per call can come back
+    path = Path(machina.__file__).parent / "quantum.py"
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    imported = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    loaded = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    attributes = {ast.unparse(n) for n in nodes if isinstance(n, ast.Attribute)}
+    assert "stationary" not in imported | loaded
+    assert "hmm.stationary" not in attributes
