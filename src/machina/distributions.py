@@ -164,8 +164,9 @@ def lorenz_curve(d) -> LorenzCurve:
 def _significant(x: float) -> str:
     """12 significant digits, as every CSV writer and ``serialize_model`` print a number.
 
-    ``quantum._pairs`` spells the same format inline: it formats every entry of
-    a quantum model file, where a call per number would cost time.
+    ``quantum._pairs`` spells the same format as ``%.12g`` inline: it formats a
+    whole row of a quantum model file in one ``%`` call, where a call per
+    number would cost most of the write.
     """
     return f"{x:.12g}"
 

@@ -24,7 +24,7 @@ from .distributions import (
     compare,
     renyi_entropy,
 )
-from .hmm import FinitePredictiveModel, _live_transitions, stationary
+from .hmm import FinitePredictiveModel, _live_transitions
 from .tolerances import EQUAL_TOL
 
 
@@ -144,8 +144,8 @@ def strong_minimality_report(m: FinitePredictiveModel) -> MinimalityReport:
     """
     part = refine_partition(m)
     machine = _quotient(m, part)
-    pi_machine = stationary(machine)
-    pi_model = stationary(m)
+    pi_machine = machine.memory()
+    pi_model = m.memory()
     verdict = compare(pi_machine, pi_model)
     rows = tuple(
         (a, renyi_entropy(pi_machine, a), renyi_entropy(pi_model, a)) for a in ALPHA_GRID

@@ -19,6 +19,8 @@ the classical read-off, the unifilar HMM of the Kraus images.  A model keeps
 that HMM (built on first use, so its stationary state is solved once) and
 its spectrum, but not the dim x dim density.
 The file grammar is read by ``hmm._read_model_file``, the reader of both kinds.
+Each state line and Kraus row is converted in one ``float`` pass; a record
+that pass cannot read is re-read token by token, which words every message.
 """
 
 from __future__ import annotations
@@ -123,9 +125,12 @@ class PureStateQuantumModel:
         norm_defect = np.max(np.abs(np.linalg.norm(states, axis=0) - 1.0))
         if not norm_defect <= EQUAL_TOL:
             raise InvalidModelError(f"state norms deviate from 1 by {norm_defect:.3g}")
-        resid = completeness_residual(self)
-        if not resid <= EQUAL_TOL:
-            raise CompletenessViolationError(f"completeness residual {resid:.3g}")
+        # the Frobenius norm bounds the 2-norm, so only a residual it cannot clear needs the SVD
+        defect = _completeness_defect(self)
+        if not np.linalg.norm(defect) <= EQUAL_TOL:
+            resid = float(np.linalg.norm(defect, 2))
+            if not resid <= EQUAL_TOL:
+                raise CompletenessViolationError(f"completeness residual {resid:.3g}")
         object.__setattr__(self, "_read_off", _walk_images(self))
 
     def __reduce__(self):
@@ -173,10 +178,13 @@ class _KrausMap:
         return self.k @ rho @ self.k_dag
 
 
+def _completeness_defect(q: PureStateQuantumModel) -> np.ndarray:
+    return sum(k.conj().T @ k for k in q.kraus.values()) - np.eye(q.dim)
+
+
 def completeness_residual(q: PureStateQuantumModel) -> float:
     """Operator-norm distance of sum(K^dag K) from the identity."""
-    acc = sum(k.conj().T @ k for k in q.kraus.values())
-    return float(np.linalg.norm(acc - np.eye(q.dim), 2))
+    return float(np.linalg.norm(_completeness_defect(q), 2))
 
 
 def _walk_images(q: PureStateQuantumModel) -> tuple[Mapping, str | None]:
@@ -404,12 +412,51 @@ _KRAUS_ROW = re.compile(r"(?<=\))\s*/")  # a '/' inside an entry is a fraction
 
 
 def _parse_pairs(text: str, lineno: int) -> np.ndarray:
+    """Entries of a run of pairs, token by token: the one definition of the
+    number grammar and of every message; the fallback of ``_fast_pairs``."""
     pieces = _PAIR.split(text)  # text, re, im, text, re, im, ..., text
     if stray := [s.strip() for s in pieces[::3] if s.strip()]:
         raise ModelFormatError(f"expected '(re,im)' pairs, got stray text {stray[0]!r}", lineno)
     del pieces[::3]
     # a view keeps a -0 imaginary part, which re + 1j * im would turn into +0
     return np.array([_parse_number(tok, lineno) for tok in pieces]).view(complex)
+
+
+def _fast_pairs(text: str) -> np.ndarray | None:
+    """Entries of a run of pairs in one ``map(float, ...)`` pass, or None if
+    ``_parse_pairs`` must read it.  Past the guards (ASCII, no ``_``, no
+    fraction, no stray text) ``_parse_number`` is ``float`` plus a finiteness
+    check, so the values match."""
+    if not text.isascii() or "_" in text or "/" in text:
+        return None
+    pieces = _PAIR.split(text)
+    if "".join(pieces[::3]).strip():
+        return None
+    del pieces[::3]
+    try:
+        values = np.array(list(map(float, pieces)))
+    except ValueError:
+        return None
+    return values.view(complex) if np.isfinite(values).all() else None
+
+
+def _kraus_matrix(body: str, dim: int, sym: str, lineno: int) -> np.ndarray:
+    """A Kraus body, row by row; a body the fast path cannot read in full is
+    re-read by the per-token path, so its message is the per-token one."""
+    chunks = body.split("/")
+    if len(chunks) == dim:  # cut at every '/': right unless an entry is a fraction
+        mat = np.empty((dim, dim), dtype=complex)
+        for i, chunk in enumerate(chunks):
+            row = _fast_pairs(chunk)
+            if row is None or len(row) != dim:
+                break
+            mat[i] = row
+        else:
+            return mat
+    rows = [_parse_pairs(chunk, lineno) for chunk in _KRAUS_ROW.split(body)]
+    if len(rows) != dim or any(len(r) != dim for r in rows):
+        raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
+    return np.array(rows, dtype=complex)
 
 
 def parse_quantum_model(text: str) -> PureStateQuantumModel:
@@ -434,7 +481,9 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
             label, body = fields
             if label in labels:
                 raise ModelFormatError(f"duplicate state {label!r}", lineno)
-            entries = _parse_pairs(body, lineno)
+            entries = _fast_pairs(body)
+            if entries is None:
+                entries = _parse_pairs(body, lineno)
             if len(entries) != dim:
                 raise ModelFormatError(f"state {label!r} has {len(entries)} != {dim} entries", lineno)
             labels.append(label)
@@ -448,10 +497,7 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
                 raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
             if sym in kraus:
                 raise ModelFormatError(f"duplicate kraus for {sym!r}", lineno)
-            rows = [_parse_pairs(chunk, lineno) for chunk in _KRAUS_ROW.split(body)]
-            if len(rows) != dim or any(len(r) != dim for r in rows):
-                raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
-            kraus[sym] = np.array(rows, dtype=complex)
+            kraus[sym] = _kraus_matrix(body, dim, sym, lineno)
     missing = [x for x in alphabet if x not in kraus]
     if missing:
         raise ModelFormatError(f"missing kraus operators for {missing}")
@@ -462,7 +508,9 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
 
 
 def _pairs(values: np.ndarray) -> str:
-    return " ".join(f"({z.real:.12g},{z.imag:.12g})" for z in values.tolist())
+    # one % call per row; %.12g prints what distributions._significant prints
+    parts = np.ascontiguousarray(values).view(float).tolist()
+    return " ".join(["(%.12g,%.12g)"] * len(values)) % tuple(parts)
 
 
 def serialize_quantum_model(q: PureStateQuantumModel) -> str:

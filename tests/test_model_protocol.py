@@ -15,6 +15,7 @@ from machina.cli import main
 from machina.distributions import ALPHA_GRID, renyi_entropy
 from machina.errors import AmbiguousSuccessorError
 from machina.hmm import renyi_memory, stationary, word_probability
+from machina.minimize import strong_minimality_report
 from machina.quantum import (
     PureStateQuantumModel,
     classical_equivalent,
@@ -60,6 +61,16 @@ def test_a_classical_model_solves_its_stationary_state_once(name, monkeypatch):
         strong_advantage_report(model)
     assert len(solves) == 1
     assert again is memory
+
+
+def test_strong_minimality_report_reads_the_kept_stationary_state(monkeypatch):
+    model = get_process("mbw3")
+    memory = model.memory()
+    solves = _count_solves(monkeypatch)
+    report = strong_minimality_report(model)
+    assert len(solves) == 1  # the merged machine's; the model's was kept
+    assert report.model_stationary is memory
+    assert report.machine_stationary is report.machine.memory()
 
 
 def test_a_quantum_model_keeps_its_read_off():

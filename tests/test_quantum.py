@@ -56,6 +56,7 @@ from machina.quantum import (
     stationary_density,
     strong_advantage_report,
 )
+from machina.tolerances import EQUAL_TOL
 from random_models import random_unifilar_model
 
 # overlaps forced by the recursion on the cyclic chains
@@ -489,6 +490,23 @@ def test_quantum_model_validation_rejects_incompleteness():
         PureStateQuantumModel(
             dim=2, labels=("A", "B"), states=states, alphabet=("0",), kraus=kraus
         )
+
+
+@pytest.mark.parametrize("excess, accepted", [(0.6, True), (1.5, False)])
+def test_completeness_is_judged_by_the_two_norm(excess, accepted):
+    # residual (excess * EQUAL_TOL) I in dim 4, whose Frobenius norm is twice that
+    eps = excess * EQUAL_TOL
+    kraus = {"0": np.sqrt(1 + eps) * np.eye(4, dtype=complex)}
+    assert np.linalg.norm(kraus["0"].conj().T @ kraus["0"] - np.eye(4)) > EQUAL_TOL
+
+    def build():
+        return PureStateQuantumModel(4, tuple("ABCD"), np.eye(4), ("0",), kraus)
+
+    if accepted:
+        assert completeness_residual(build()) == pytest.approx(eps, rel=1e-5)
+    else:
+        with pytest.raises(CompletenessViolationError, match="^completeness residual 1.5e-09$"):
+            build()
 
 
 def test_transition_tables_are_read_only_and_copy_by_value():
