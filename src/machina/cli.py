@@ -21,6 +21,7 @@ import numpy as np
 from .catalog import catalog_names, get_process
 from .distributions import (
     ALPHA_GRID,
+    _plain,
     _significant,
     compare,
     lorenz_curve,
@@ -113,6 +114,8 @@ def _parse_alphas(raw: str | None):
         tok = tok.strip()
         if not tok:
             continue
+        if not _plain(tok):
+            raise ValueError(f"bad number {tok!r}")
         value = math.inf if tok.lower() in ("inf", "infinity") else float(tok)
         if not value >= 0:
             raise ValueError(f"alpha must be nonnegative, got {tok}")

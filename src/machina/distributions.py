@@ -31,12 +31,18 @@ from .tolerances import EQUAL_TOL, LANDING_TOL, ZERO_TOL
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, math.inf)
 
 
+def _plain(text: str) -> bool:
+    """No ``_`` and no non-ASCII character: ``float`` and ``Fraction`` accept digit
+    separators and non-ASCII digits, machina's number grammar does not."""
+    return text.isascii() and "_" not in text
+
+
 def comparison_tolerance() -> float:
     """Active prefix-sum tolerance; the MACHINA_TOL env var overrides ``EQUAL_TOL``."""
     raw = os.environ.get("MACHINA_TOL")
     if raw is None:
         return EQUAL_TOL
-    tol = float(raw)
+    tol = float(raw) if _plain(raw) else math.nan
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"MACHINA_TOL must be a finite nonnegative number, got {raw!r}")
     return tol

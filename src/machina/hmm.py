@@ -50,7 +50,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import Distribution, _index, _significant, renyi_entropy, validate_distribution
+from .distributions import (
+    Distribution, _index, _plain, _significant, renyi_entropy, validate_distribution,
+)
 from .errors import (
     DuplicateTransitionError,
     ModelFormatError,
@@ -416,8 +418,8 @@ def _live_transitions(m: FinitePredictiveModel):
 def _parse_number(token: str, lineno: int) -> float:
     """An ASCII decimal or ``a/b`` fraction; anything else (nan, inf, ``_``) is an error."""
     try:
-        if "_" in token or not token.isascii():
-            raise ValueError(token)  # float() and Fraction() would accept these
+        if not _plain(token):
+            raise ValueError(token)
         value = float(Fraction(token)) if "/" in token else float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelFormatError(f"bad number {token!r}", lineno) from exc

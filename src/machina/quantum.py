@@ -19,8 +19,8 @@ the classical read-off, the unifilar HMM of the Kraus images.  A model keeps
 that HMM (built on first use, so its stationary state is solved once) and
 its spectrum, but not the dim x dim density.
 The file grammar is read by ``hmm._read_model_file``, the reader of both kinds.
-Each state line and Kraus row is converted in one ``float`` pass; a record
-that pass cannot read is re-read token by token, which words every message.
+Kraus rows end at each ``/`` after a pair's ``)``.  Each row or state line is tokenized
+once; ``float`` reads plain decimals, ``hmm._parse_number`` fractions and every message.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .distributions import (
     ALPHA_GRID,
     Distribution,
     MajorizationVerdict,
+    _plain,
     compare,
     pad_to,
     renyi_entropy,
@@ -90,6 +91,8 @@ class PureStateQuantumModel:
     _read_off: tuple = field(init=False, repr=False)  # found by _walk_images
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise InvalidModelError("dimension must be positive")
         labels = tuple(self.labels)
         alphabet = tuple(self.alphabet)
         states = np.array(self.states, dtype=complex)
@@ -97,8 +100,7 @@ class PureStateQuantumModel:
             raise InvalidModelError(
                 f"state matrix shape {states.shape} != ({self.dim}, {len(labels)})"
             )
-        if not np.all(np.isfinite(states)):
-            raise InvalidModelError("state matrix has a non-finite entry")
+        _check_entries(states, "state matrix")
         if len(labels) < self.dim:
             raise InvalidModelError("need at least as many labels as dimensions")
         if len(set(labels)) != len(labels) or len(set(alphabet)) != len(alphabet):
@@ -113,8 +115,7 @@ class PureStateQuantumModel:
             k_mat = np.array(self.kraus[x], dtype=complex)
             if k_mat.shape != (self.dim, self.dim):
                 raise InvalidModelError(f"Kraus operator for {x!r} has shape {k_mat.shape}")
-            if not np.all(np.isfinite(k_mat)):
-                raise InvalidModelError(f"Kraus operator for {x!r} has a non-finite entry")
+            _check_entries(k_mat, f"Kraus operator for {x!r}")
             k_mat.setflags(write=False)
             kraus[x] = k_mat
         states.setflags(write=False)
@@ -176,6 +177,16 @@ class _KrausMap:
 
     def __rmatmul__(self, rho: np.ndarray) -> np.ndarray:
         return self.k @ rho @ self.k_dag
+
+
+def _check_entries(mat: np.ndarray, what: str) -> None:
+    """Refuse a non-finite entry or a real or imaginary part above 1 + ``EQUAL_TOL``: no
+    entry of a unit vector or of a Kraus operator in a complete set is longer than 1."""
+    big = np.max(np.abs(mat.ravel("K").view(float)), initial=0.0)  # a C or F matrix: no copy
+    if not np.isfinite(big):
+        raise InvalidModelError(f"{what} has a non-finite entry")
+    if big > 1.0 + EQUAL_TOL:
+        raise InvalidModelError(f"{what} has a real or imaginary part of modulus {big:.3g} > 1")
 
 
 def _completeness_defect(q: PureStateQuantumModel) -> np.ndarray:
@@ -408,55 +419,37 @@ def quantum_models_equal(a: PureStateQuantumModel, b: PureStateQuantumModel) -> 
 # ---------------------------------------------------------------- file format
 
 _PAIR = re.compile(r"\(([^(),]*),([^(),]*)\)")
-_KRAUS_ROW = re.compile(r"(?<=\))\s*/")  # a '/' inside an entry is a fraction
 
 
-def _parse_pairs(text: str, lineno: int) -> np.ndarray:
-    """Entries of a run of pairs, token by token: the one definition of the
-    number grammar and of every message; the fallback of ``_fast_pairs``."""
+def _read_pairs(text: str, lineno: int) -> np.ndarray:
+    """A run of pairs as complex entries, in one ``float`` pass; fractions, text ``_plain``
+    refuses and failed or non-finite reads go to ``_parse_number``, which words every message."""
     pieces = _PAIR.split(text)  # text, re, im, text, re, im, ..., text
-    if stray := [s.strip() for s in pieces[::3] if s.strip()]:
-        raise ModelFormatError(f"expected '(re,im)' pairs, got stray text {stray[0]!r}", lineno)
+    if "".join(pieces[::3]).strip():
+        stray = next(filter(None, map(str.strip, pieces[::3])))
+        raise ModelFormatError(f"expected '(re,im)' pairs, got stray text {stray!r}", lineno)
     del pieces[::3]
+    if _plain(text) and "/" not in text:
+        try:
+            values = np.array(list(map(float, pieces)))
+        except ValueError:
+            pass  # _parse_number names the token
+        else:
+            if np.isfinite(values).all():
+                return values.view(complex)
     # a view keeps a -0 imaginary part, which re + 1j * im would turn into +0
     return np.array([_parse_number(tok, lineno) for tok in pieces]).view(complex)
 
 
-def _fast_pairs(text: str) -> np.ndarray | None:
-    """Entries of a run of pairs in one ``map(float, ...)`` pass, or None if
-    ``_parse_pairs`` must read it.  Past the guards (ASCII, no ``_``, no
-    fraction, no stray text) ``_parse_number`` is ``float`` plus a finiteness
-    check, so the values match."""
-    if not text.isascii() or "_" in text or "/" in text:
-        return None
-    pieces = _PAIR.split(text)
-    if "".join(pieces[::3]).strip():
-        return None
-    del pieces[::3]
-    try:
-        values = np.array(list(map(float, pieces)))
-    except ValueError:
-        return None
-    return values.view(complex) if np.isfinite(values).all() else None
-
-
-def _kraus_matrix(body: str, dim: int, sym: str, lineno: int) -> np.ndarray:
-    """A Kraus body, row by row; a body the fast path cannot read in full is
-    re-read by the per-token path, so its message is the per-token one."""
-    chunks = body.split("/")
-    if len(chunks) == dim:  # cut at every '/': right unless an entry is a fraction
-        mat = np.empty((dim, dim), dtype=complex)
-        for i, chunk in enumerate(chunks):
-            row = _fast_pairs(chunk)
-            if row is None or len(row) != dim:
-                break
-            mat[i] = row
+def _kraus_rows(body: str) -> list[str]:
+    """A Kraus body cut at each '/' after a pair's ')'; any other '/' is a fraction's."""
+    rows: list[str] = []
+    for chunk in body.split("/"):
+        if rows and not rows[-1].rstrip().endswith(")"):
+            rows[-1] += "/" + chunk
         else:
-            return mat
-    rows = [_parse_pairs(chunk, lineno) for chunk in _KRAUS_ROW.split(body)]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
-    return np.array(rows, dtype=complex)
+            rows.append(chunk)
+    return rows
 
 
 def parse_quantum_model(text: str) -> PureStateQuantumModel:
@@ -474,22 +467,19 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
     state_cols: list[np.ndarray] = []
     kraus: dict[str, np.ndarray] = {}
     for lineno, head, rest in records:
+        fields = rest.split(None, 1)
         if head == "state":
-            fields = rest.split(None, 1)
             if len(fields) != 2:
                 raise ModelFormatError("expected 'state: LABEL (re,im) ...'", lineno)
             label, body = fields
             if label in labels:
                 raise ModelFormatError(f"duplicate state {label!r}", lineno)
-            entries = _fast_pairs(body)
-            if entries is None:
-                entries = _parse_pairs(body, lineno)
+            entries = _read_pairs(body, lineno)
             if len(entries) != dim:
                 raise ModelFormatError(f"state {label!r} has {len(entries)} != {dim} entries", lineno)
             labels.append(label)
             state_cols.append(entries)
         else:
-            fields = rest.split(None, 1)
             if len(fields) != 2:
                 raise ModelFormatError("expected 'kraus: SYMBOL rows'", lineno)
             sym, body = fields
@@ -497,7 +487,15 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
                 raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
             if sym in kraus:
                 raise ModelFormatError(f"duplicate kraus for {sym!r}", lineno)
-            kraus[sym] = _kraus_matrix(body, dim, sym, lineno)
+            # read every row, then judge the shape; one row alive at a time keeps peak RSS down
+            k_mat, widths = np.empty((dim, dim), dtype=complex), []
+            for i, row in enumerate(_kraus_rows(body)):
+                widths.append(len(entries := _read_pairs(row, lineno)))
+                if i < dim and widths[-1] == dim:
+                    k_mat[i] = entries
+            if widths != [dim] * dim:
+                raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
+            kraus[sym] = k_mat
     missing = [x for x in alphabet if x not in kraus]
     if missing:
         raise ModelFormatError(f"missing kraus operators for {missing}")

@@ -102,3 +102,35 @@ def test_nonfinite_tolerance_is_rejected(token, monkeypatch):
 def test_nan_alpha_is_rejected():
     with pytest.raises(ValueError):
         renyi_entropy([0.5, 0.5], math.nan)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("state: A  (1,0)", "state: A  (1e308,1e308)",
+         "state matrix has a real or imaginary part of modulus 1e+308 > 1"),
+        ("kraus: A  (0.816496580928,0)", "kraus: A  (1e300,0)",
+         "Kraus operator for 'A' has a real or imaginary part of modulus 1e+300 > 1"),
+    ],
+    ids=["state", "kraus"],
+)
+def test_huge_finite_entries_are_refused_before_any_norm(old, new, message, tmp_path, capsys):
+    # no entry of a unit vector or of a Kraus operator in a complete set exceeds 1,
+    # so a part above 1 + EQUAL_TOL is refused before a norm can overflow
+    text = serialize_quantum_model(d3())
+    assert old in text
+    path = tmp_path / "model.qm"
+    path.write_text(text.replace(old, new))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0662", "\uff11"])
+def test_cli_numbers_follow_the_file_grammar(token, monkeypatch, capsys):
+    assert main(["entropy", "mbw3", "--alpha", f"1,{token}"]) == 2
+    assert capsys.readouterr().err == f"error: bad number {token!r}\n"
+    monkeypatch.setenv("MACHINA_TOL", token)
+    with pytest.raises(ValueError, match=re.escape(f"got {token!r}")):
+        compare([0.5, 0.5], [0.6, 0.4])
+    assert main(["compare", "mbw3", "d3"]) == 2
+    assert "MACHINA_TOL must be a finite nonnegative number" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from machina.errors import (
     AmbiguousSuccessorError,
     CompletenessViolationError,
     DimensionMismatchError,
+    InvalidModelError,
     ModelFormatError,
     NotHermitianError,
     NotPSDError,
@@ -481,6 +482,11 @@ def test_kraus_operator_for_an_undeclared_symbol_is_rejected():
     kraus = {"0": np.eye(2, dtype=complex), "Z": np.zeros((2, 2), dtype=complex)}
     with pytest.raises(UnknownSymbolError, match="^Kraus operator for undeclared symbol 'Z'$"):
         PureStateQuantumModel(dim=2, labels=("A", "B"), states=states, alphabet=("0",), kraus=kraus)
+
+
+def test_a_zero_dimension_is_refused():
+    with pytest.raises(InvalidModelError, match="^dimension must be positive$"):
+        PureStateQuantumModel(0, (), np.zeros((0, 0)), ("a",), {"a": np.zeros((0, 0))})
 
 
 def test_quantum_model_validation_rejects_incompleteness():

@@ -5,7 +5,10 @@ bits in, same message for every file the reader refuses."""
 import ast
 import inspect
 import re
+from unittest import mock
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -141,9 +144,10 @@ def test_edge_values_format_and_read_back_like_the_references():
         for row in (mat[0], mat[:, -1]):
             text = quantum._pairs(row)
             assert text == _ref_pairs(row)
-            assert _same_bits(quantum._fast_pairs(text), _ref_read(text))
+            assert _same_bits(quantum._read_pairs(text, 1), _ref_read(text))
         body = " / ".join(map(quantum._pairs, mat))
-        assert _same_bits(quantum._kraus_matrix(body, n, "0", 1), _ref_kraus(body))
+        rows = [quantum._read_pairs(row, 1) for row in quantum._kraus_rows(body)]
+        assert _same_bits(np.array(rows), _ref_kraus(body))
 
 
 # ------------------------------------------------------------- error parity
@@ -248,19 +252,19 @@ def test_a_fraction_entry_reads_like_the_reference():
 
 def test_only_the_fallback_reads_token_by_token(monkeypatch):
     tree = ast.parse(inspect.getsource(quantum))
-
-    def callers(name):
-        return {
-            f.name
-            for f in ast.walk(tree)
-            if isinstance(f, ast.FunctionDef)
-            for n in ast.walk(f)
-            if isinstance(n, ast.Name) and n.id == name
-        }
-
-    assert callers("_parse_number") == {"_parse_pairs"}
-    assert callers("_parse_pairs") == {"parse_quantum_model", "_kraus_matrix"}
-    assert callers("_fast_pairs") == {"parse_quantum_model", "_kraus_matrix"}
+    compiles = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == "re.compile"
+    ]
+    assert len(compiles) == 1
+    callers = {
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for n in ast.walk(f)
+        if isinstance(n, ast.Name) and n.id == "_parse_number"
+    }
+    assert callers == {"_read_pairs"}
 
     def refuse(token, lineno):
         raise AssertionError(f"per-token read of {token!r} on line {lineno}")
@@ -268,3 +272,68 @@ def test_only_the_fallback_reads_token_by_token(monkeypatch):
     monkeypatch.setattr(quantum, "_parse_number", refuse)
     for name in ("q3", "phase-9", "built-16"):
         parse_quantum_model(serialize_quantum_model(MODELS[name]))
+
+
+# ------------------------------------------------------------- fuzzed Kraus bodies
+
+# tokens from the characters of decimals, exponents and fractions: most are
+# numbers, some are junk, '1/0' or an overflow, so a body may hold several faults
+_TOKENS = st.tuples(
+    st.integers(min_value=0, max_value=19),
+    st.sampled_from(["0", "1", "-0", ".5", "1e-1", "-1/1", "0/1", "1.e0", "1e-07", "10"]),
+    st.text(".-e01/ ", max_size=5),
+).map(lambda t: t[2] if t[0] == 0 else "1e1111" if t[0] == 1 else t[1])
+
+
+@st.composite
+def _kraus_bodies(draw):
+    """A dimension and a Kraus body: rows of pairs, most of them dim x dim, or raw text."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return dim, draw(st.text("(),/.-e01 ", min_size=1, max_size=40))
+    size = st.just(dim)
+    if draw(st.booleans()):
+        size = st.integers(min_value=dim - 1, max_value=dim + 1)
+    pair = st.builds("({},{})".format, _TOKENS, _TOKENS)
+    rows = [
+        draw(st.sampled_from(["", " ", "  "])).join(draw(pair) for _ in range(draw(size)))
+        for _ in range(draw(size))
+    ]
+    return dim, draw(st.sampled_from(["/", " / ", " /", "/ ", "//"])).join(rows)
+
+
+def _ref_outcome(body: str, dim: int):
+    """The matrix the reference reads from a Kraus body on line 4, or its message."""
+    try:
+        mat = _ref_kraus(body, 4)
+    except ModelFormatError as exc:
+        return str(exc)
+    except ValueError:  # rows of different lengths
+        mat = None
+    if mat is None or mat.shape != (dim, dim):
+        return f"line 4: kraus for 'a' is not {dim}x{dim}"
+    return mat
+
+
+@hypothesis.settings(derandomize=True, max_examples=500, deadline=None)
+@hypothesis.given(_kraus_bodies())
+def test_fuzzed_kraus_bodies_read_like_the_reference(case):
+    dim, body = case
+    body = body.strip()
+    hypothesis.assume(body)
+    text = (
+        f"model: quantum\ndim: {dim}\nalphabet: a\nkraus: a {body}\n"
+        f"state: s {' '.join(['(1,0)'] * dim)}\n"
+    )
+    # the reader's output, before the model checks that a random operator would fail
+    with mock.patch.object(quantum, "PureStateQuantumModel", lambda **kw: kw):
+        try:
+            got = parse_quantum_model(text)["kraus"]["a"]
+        except ModelFormatError as exc:
+            got = str(exc)
+    expected = _ref_outcome(body, dim)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert _same_bits(got, expected)
