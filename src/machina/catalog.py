@@ -14,6 +14,7 @@ from functools import cache
 
 import numpy as np
 
+from .distributions import _plain
 from .hmm import FinitePredictiveModel
 from .quantum import PureStateQuantumModel, build_qmachine
 
@@ -164,11 +165,18 @@ def q4() -> PureStateQuantumModel:
     return build_qmachine(mbw4())
 
 
+def _number(raw: str) -> float:
+    """A parameter as ``float`` reads it, less what ``_plain`` refuses (``0_5``, ``٠.٥``)."""
+    if not _plain(raw):
+        raise ValueError(f"bad number {raw!r}")
+    return float(raw)
+
+
 _BUILDERS = {
-    "biased_coin": (biased_coin, (float,)),
-    "biased_coin_split": (biased_coin_split, (float, str)),
-    "even_odd": (even_odd, (float,)),
-    "even_odd_split": (even_odd_split, (float,)),
+    "biased_coin": (biased_coin, (_number,)),
+    "biased_coin_split": (biased_coin_split, (_number, str)),
+    "even_odd": (even_odd, (_number,)),
+    "even_odd_split": (even_odd_split, (_number,)),
     "mbw3": (mbw3, ()),
     "mbw4": (mbw4, ()),
     "d3": (d3, ()),

@@ -83,6 +83,16 @@ def _format_alpha(alpha: float) -> str:
     return f"{alpha:g}"
 
 
+def _count(text: str) -> int:
+    """An integer option as ``int`` reads it, less what ``_plain`` refuses (``1_000``, ``٢``)."""
+    if _plain(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_text(text: str):
     _, kind = _model_kind(_directives(text))
     parse = {"classical": parse_model, "quantum": parse_quantum_model}.get(kind)
@@ -373,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "counterexample", help="run the no-strong-minimum argument for the 3-state chain"
     )
-    p.add_argument("--grid", type=int, default=10_000)
+    p.add_argument("--grid", type=_count, default=10_000)
     _add_format(p)
     p.set_defaults(func=cmd_counterexample)
 
@@ -382,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", help="catalog name")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--word", help="one word, e.g. 0110")
-    group.add_argument("--max-len", type=int, help="emit all words of this length")
+    group.add_argument("--max-len", type=_count, help="emit all words of this length")
     _add_format(p)
     p.set_defaults(func=cmd_wordprob)
 

@@ -200,11 +200,12 @@ def renyi_entropy(d, alpha) -> float:
     p = d.probs[d.probs > ZERO_TOL]
     if alpha == 0.0:
         return math.log2(p.size)
+    # + 0.0 turns the -0.0 of a one-point support into 0.0 and leaves every other value
     if math.isinf(alpha):
-        return -math.log2(float(p.max()))
+        return -math.log2(float(p.max())) + 0.0
     if alpha == 1.0:
-        return float(-(p * np.log2(p)).sum())
-    return float(math.log2((p**alpha).sum()) / (1.0 - alpha))
+        return float(-(p * np.log2(p)).sum()) + 0.0
+    return float(math.log2((p**alpha).sum()) / (1.0 - alpha)) + 0.0
 
 
 def renyi_negentropy(d, alpha) -> float:

@@ -11,11 +11,15 @@ recursion
 solved by Anderson acceleration over the overlaps above the diagonal until
 the recursion's residual max|Phi(G) - G| is below ``STEP_TOL``; a residual
 that is not finite, or the iteration cap, raises ``NoConvergenceError``.
+Each step solves the normal equations of its residual history, kept from
+step to step, with ``np.linalg.solve``, and takes the plain step when
+LAPACK finds them exactly singular.
 The states are then any vectors realizing G and the Kraus operators the
-least-squares solutions of K S = S'_x on the state span.  The memory
-cost of a model is the Renyi entropy of the eigenvalue spectrum of its
-stationary density matrix, which always majorizes the stationary state of
-the classical read-off, the unifilar HMM of the Kraus images.  A model keeps
+least-squares solutions of K S = S'_x on the state span; one overlap
+product per symbol checks that each Kraus image lands on one state.  The
+memory cost of a model is the Renyi entropy of the eigenvalue spectrum of
+its stationary density matrix, which always majorizes the stationary state
+of the classical read-off, the unifilar HMM of the Kraus images.  A model keeps
 that HMM (built on first use, so its stationary state is solved once) and
 its spectrum, but not the dim x dim density.
 The file grammar is read by ``hmm._read_model_file``, the reader of both kinds.
@@ -201,26 +205,33 @@ def completeness_residual(q: PureStateQuantumModel) -> float:
 def _walk_images(q: PureStateQuantumModel) -> tuple[Mapping, str | None]:
     """Check unifilarity; read off the images K|s> with p = <Ks|Ks> above ``ZERO_TOL`` as
     read-only transitions {(label, symbol): (p, successor label)}, symbol by symbol,
-    plus the first ambiguity's message or None."""
+    plus the first ambiguity's message or None.
+
+    One ``bras @ images`` per symbol gives every overlap; p stays one ``np.vdot`` per
+    column, since a vectorised sum of squares rounds some p differently."""
     trans, ambiguous = {}, None
     bras = q.states.conj().T
     for x in q.alphabet:
         images = q.kraus[x] @ q.states
-        for i, label in enumerate(q.labels):
-            p = float(np.real(np.vdot(images[:, i], images[:, i])))
-            nrm = np.sqrt(p)
-            if nrm > EQUAL_TOL:
-                overlaps = np.abs(bras @ images[:, i]) / nrm
-                if overlaps.max() < 1.0 - EQUAL_TOL:
-                    raise NotUnifilarError(
-                        f"K[{x!r}] maps state {label!r} outside the state set "
-                        f"(best overlap {overlaps.max():.9f})"
-                    )
-                hits = np.flatnonzero(overlaps > 1.0 - EQUAL_TOL)
-                if p > ZERO_TOL and hits.size == 1:
-                    trans[(label, x)] = (min(p, 1.0), q.labels[hits[0]])
-                elif p > ZERO_TOL and ambiguous is None:
-                    ambiguous = f"state {label!r} under K[{x!r}]: {hits.size} matching states"
+        p = np.array([np.vdot(images[:, i], images[:, i]).real for i in range(q.n)])
+        nrm = np.sqrt(p)
+        live = np.flatnonzero(nrm > EQUAL_TOL)
+        overlaps = np.abs(bras @ images[:, live]) / nrm[live]  # n x live
+        best = overlaps.max(axis=0)
+        stray = np.flatnonzero(best < 1.0 - EQUAL_TOL)
+        if stray.size:
+            raise NotUnifilarError(
+                f"K[{x!r}] maps state {q.labels[live[stray[0]]]!r} outside the state set "
+                f"(best overlap {best[stray[0]]:.9f})"
+            )
+        hits = np.count_nonzero(overlaps > 1.0 - EQUAL_TOL, axis=0)
+        succ = overlaps.argmax(axis=0)  # the one hit, where there is one
+        emits = p[live] > ZERO_TOL
+        for i, count, j in zip(live[emits].tolist(), hits[emits].tolist(), succ[emits].tolist()):
+            if count == 1:
+                trans[(q.labels[i], x)] = (min(float(p[i]), 1.0), q.labels[j])
+            elif ambiguous is None:
+                ambiguous = f"state {q.labels[i]!r} under K[{x!r}]: {count} matching states"
     return MappingProxyType(trans), ambiguous
 
 
@@ -231,9 +242,14 @@ def gram_fixed_point(m: FinitePredictiveModel) -> np.ndarray:
 
     With the diagonal pinned, the recursion maps the n(n-1)/2 overlaps above
     the diagonal affinely onto themselves; Anderson acceleration (type II,
-    depth ``ANDERSON_DEPTH``) solves that map from the identity.  It stops
-    once the recursion's own residual, the largest entry of Phi(G) - G, is
-    below ``STEP_TOL``, and returns Phi(G) symmetrized with a unit diagonal.
+    depth ``ANDERSON_DEPTH``) solves that map from the identity.  A step's
+    mixing weights solve the normal equations of the last residual
+    differences by ``np.linalg.solve``; the normal matrix is kept across
+    steps, and a step renews only its newest row and column.  When LAPACK
+    reports the matrix exactly singular, that step is the plain one,
+    Phi(x) itself.  It stops once the recursion's own residual, the largest
+    entry of Phi(G) - G, is below ``STEP_TOL``, and returns Phi(G)
+    symmetrized with a unit diagonal.
     A residual that is not finite, or no convergence within
     ``GRAM_MAX_ITER`` iterations, raises ``NoConvergenceError``.
 
@@ -262,6 +278,7 @@ def gram_fixed_point(m: FinitePredictiveModel) -> np.ndarray:
     padded, terms = np.ones(size + 1), np.empty_like(weights)
     depth = min(ANDERSON_DEPTH, size)
     d_res, d_img = np.empty((depth, size)), np.empty((depth, size))
+    normal = np.empty((depth, depth))  # d_res @ d_res.T; a step renews one row and column
     x = np.zeros(size)
     for iteration in range(1, GRAM_MAX_ITER + 1):
         padded[:size] = x
@@ -287,9 +304,14 @@ def gram_fixed_point(m: FinitePredictiveModel) -> np.ndarray:
             np.subtract(img, img_prev, out=d_img[newest])
             used = min(iteration - 1, depth)
             hist = d_res[:used]
-            # coef minimizes |res - coef @ hist|, solved on the used x used normal equations
-            coef = np.linalg.lstsq(hist @ hist.T, hist @ res, rcond=None)[0]
-            x = img - coef @ d_img[:used]
+            normal[newest, :used] = normal[:used, newest] = hist @ d_res[newest]
+            # coef minimizes |res - coef @ hist|: the used x used normal equations
+            try:
+                coef = np.linalg.solve(normal[:used, :used], hist @ res)
+            except np.linalg.LinAlgError:  # an exactly singular history: the plain step
+                x = img
+            else:
+                x = img - coef @ d_img[:used]
         res_prev, img_prev = res, img
     raise NoConvergenceError(f"overlap recursion not converged after {GRAM_MAX_ITER} iterations")
 

@@ -94,6 +94,34 @@ def test_entropy_fair_coin_is_zero(capsys):
     assert float(out.strip().split()[-1]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_one_state_entropy_prints_zero_not_minus_zero(capsys):
+    code, out, _ = run(capsys, "entropy", "--process", "biased_coin:0.5")
+    assert code == 0
+    assert [line.split() for line in out.strip().split("\n")[1:]] == [
+        [a, "0"] for a in ("0", "0.5", "1", "2", "inf")
+    ]
+    code, out, _ = run(capsys, "entropy", "--process", "biased_coin:0.5", "--format", "csv")
+    assert code == 0
+    assert out == "alpha,bits\n0,0\n0.5,0\n1,0\n2,0\ninf,0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["wordprob", "--process", "mbw3", "--max-len", "\u0662"], "invalid int value: '\u0662'"),
+        (["wordprob", "--process", "mbw3", "--max-len", "1_0"], "invalid int value: '1_0'"),
+        (["counterexample", "--grid", "1_000"], "invalid int value: '1_000'"),
+        (["counterexample", "--grid", "many"], "invalid int value: 'many'"),
+        (["entropy", "--process", "biased_coin:\u0660.\u0665"], "bad parameter '\u0660.\u0665'"),
+        (["entropy", "--process", "even_odd:0_5"], "bad parameter '0_5' for even_odd"),
+    ],
+)
+def test_numbers_with_separators_or_non_ascii_digits_exit_two(capsys, argv, err):
+    code, out, stderr = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err in stderr
+
+
 def test_entropy_csv_format(capsys):
     code, out, _ = run(capsys, "entropy", "--process", "mbw4", "--format", "csv")
     assert code == 0

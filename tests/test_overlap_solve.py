@@ -137,9 +137,21 @@ def test_non_finite_residual_raises_instead_of_returning_nan(monkeypatch):
     # iteration; mbw3, mbw4 and even_odd converge in two
     m = merge(random_unifilar_model(np.random.default_rng(3), 8, 2))
 
-    def nan_lstsq(a, b, rcond=None):
-        return np.full(np.shape(b), np.nan), None, None, None
+    def nan_solve(a, b):
+        return np.full(np.shape(b), np.nan)
 
-    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    monkeypatch.setattr(np.linalg, "solve", nan_solve)
     with pytest.raises(NoConvergenceError, match="residual is not finite"):
         gram_fixed_point(m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_singular_history_takes_the_plain_step(monkeypatch, seed):
+    # every Anderson solve reports a singular history, so every step is the plain one
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    m = _near_uniform(seed, *_draw(seed))
+    reference = _dense(m)  # before the patch: the reference solves with np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert np.max(np.abs(gram_fixed_point(m) - reference)) <= 1e-11
