@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .distributions import _plain
+from .distributions import _plain_float
 from .hmm import FinitePredictiveModel
 from .quantum import PureStateQuantumModel, build_qmachine
 
@@ -165,18 +165,11 @@ def q4() -> PureStateQuantumModel:
     return build_qmachine(mbw4())
 
 
-def _number(raw: str) -> float:
-    """A parameter as ``float`` reads it, less what ``_plain`` refuses (``0_5``, ``٠.٥``)."""
-    if not _plain(raw):
-        raise ValueError(f"bad number {raw!r}")
-    return float(raw)
-
-
 _BUILDERS = {
-    "biased_coin": (biased_coin, (_number,)),
-    "biased_coin_split": (biased_coin_split, (_number, str)),
-    "even_odd": (even_odd, (_number,)),
-    "even_odd_split": (even_odd_split, (_number,)),
+    "biased_coin": (biased_coin, (_plain_float,)),
+    "biased_coin_split": (biased_coin_split, (_plain_float, str)),
+    "even_odd": (even_odd, (_plain_float,)),
+    "even_odd_split": (even_odd_split, (_plain_float,)),
     "mbw3": (mbw3, ()),
     "mbw4": (mbw4, ()),
     "d3": (d3, ()),

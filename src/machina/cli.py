@@ -22,6 +22,7 @@ from .catalog import catalog_names, get_process
 from .distributions import (
     ALPHA_GRID,
     _plain,
+    _plain_float,
     _significant,
     compare,
     lorenz_curve,
@@ -124,9 +125,7 @@ def _parse_alphas(raw: str | None):
         tok = tok.strip()
         if not tok:
             continue
-        if not _plain(tok):
-            raise ValueError(f"bad number {tok!r}")
-        value = math.inf if tok.lower() in ("inf", "infinity") else float(tok)
+        value = _plain_float(tok)
         if not value >= 0:
             raise ValueError(f"alpha must be nonnegative, got {tok}")
         out.append(value)

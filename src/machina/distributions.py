@@ -37,6 +37,13 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _plain_float(text: str) -> float:
+    """``float(text)`` for text ``_plain`` accepts; other text raises ``bad number``."""
+    if not _plain(text):
+        raise ValueError(f"bad number {text!r}")
+    return float(text)
+
+
 def comparison_tolerance() -> float:
     """Active prefix-sum tolerance; the MACHINA_TOL env var overrides ``EQUAL_TOL``."""
     raw = os.environ.get("MACHINA_TOL")
@@ -200,12 +207,14 @@ def renyi_entropy(d, alpha) -> float:
     p = d.probs[d.probs > ZERO_TOL]
     if alpha == 0.0:
         return math.log2(p.size)
-    # + 0.0 turns the -0.0 of a one-point support into 0.0 and leaves every other value
     if math.isinf(alpha):
-        return -math.log2(float(p.max())) + 0.0
-    if alpha == 1.0:
-        return float(-(p * np.log2(p)).sum()) + 0.0
-    return float(math.log2((p**alpha).sum()) / (1.0 - alpha)) + 0.0
+        h = -math.log2(float(p.max()))
+    elif alpha == 1.0:
+        h = float(-(p * np.log2(p)).sum())
+    else:
+        h = float(math.log2((p**alpha).sum()) / (1.0 - alpha))
+    # + 0.0 turns the -0.0 of a one-point support into 0.0 and leaves every other value unchanged
+    return h + 0.0
 
 
 def renyi_negentropy(d, alpha) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from machina import quantum
-from machina.catalog import mbw4
+from machina.catalog import mbw3, mbw4
 from machina.cli import main
 from machina.errors import NoConvergenceError
 from machina.hmm import FinitePredictiveModel
@@ -155,3 +155,32 @@ def test_singular_history_takes_the_plain_step(monkeypatch, seed):
     reference = _dense(m)  # before the patch: the reference solves with np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", singular)
     assert np.max(np.abs(gram_fixed_point(m) - reference)) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "make",
+    [mbw3, lambda: _near_uniform(1, *_draw(1))],
+    ids=["exact-zero-residual", "round-off-stagnation"],
+)
+def test_real_singular_history_takes_the_plain_step(monkeypatch, make):
+    # With STEP_TOL at 0 the loop runs on past its fixed point: mbw3's residual
+    # is exactly zero from the second iteration, the near-uniform machine's
+    # repeats at round-off, so residual differences repeat (as zero vectors) and
+    # LAPACK itself reports the normal matrix singular.  The solve is spied on,
+    # not replaced.
+    real_solve, singular = np.linalg.solve, []
+
+    def spy(a, b):
+        try:
+            return real_solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a.shape[0])
+            raise
+
+    m = make()
+    monkeypatch.setattr(quantum, "STEP_TOL", 0.0)
+    monkeypatch.setattr(quantum, "GRAM_MAX_ITER", 100)
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    with pytest.raises(NoConvergenceError, match="not converged after 100 iterations"):
+        gram_fixed_point(m)
+    assert singular
