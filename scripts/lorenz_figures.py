@@ -29,7 +29,7 @@ from machina.catalog import (
     q4,
 )
 from machina.cli import lorenz_pair_csv
-from machina.distributions import validate_distribution
+from machina.distributions import _plain_float, validate_distribution
 from machina.hmm import stationary
 from machina.quantum import memory_spectrum
 
@@ -37,7 +37,9 @@ from machina.quantum import memory_spectrum
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="figures_out")
-    parser.add_argument("--bias", type=float, default=0.6, help="coin bias for the first pair")
+    parser.add_argument(
+        "--bias", type=_plain_float, default=0.6, help="coin bias for the first pair"
+    )
     args = parser.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

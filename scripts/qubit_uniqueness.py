@@ -9,12 +9,13 @@ Usage: python scripts/qubit_uniqueness.py [--grid 10000] [--out sweep.csv]
 
 import argparse
 
+from machina.cli import _count
 from machina.qubit_family import counterexample_report, sweep_csv
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--grid", type=int, default=10_000)
+    parser.add_argument("--grid", type=_count, default=10_000)
     parser.add_argument("--out", default="qubit_residual_sweep.csv")
     args = parser.parse_args()
     report = counterexample_report(args.grid)

@@ -2,10 +2,11 @@
 
 Subcommands: validate, entropy, lorenz, compare, epsilonize, qmachine,
 counterexample, wordprob, export.  Exit codes: 0 success, 1 a check
-failed, 2 usage or parse error.  ``--format csv`` output is prose-free and
-byte-stable across runs; nothing is written to disk unless ``--out`` is
-given.  The MACHINA_TOL environment variable overrides the default
-majorization tolerance, ``tolerances.EQUAL_TOL`` (1e-9).
+failed or memory ran out, 2 usage or parse error.  ``--format csv``
+output is prose-free and byte-stable across runs; nothing is written to
+disk unless ``--out`` is given.  The MACHINA_TOL environment variable
+overrides the default majorization tolerance, ``tolerances.EQUAL_TOL``
+(1e-9).
 """
 
 from __future__ import annotations
@@ -84,6 +85,11 @@ def _format_alpha(alpha: float) -> str:
     return f"{alpha:g}"
 
 
+def _alpha_cell(alpha: float) -> str:
+    """The alpha column of a human entropy table: 8 wide, and one blank after a longer alpha."""
+    return f"{_format_alpha(alpha):<7} "
+
+
 def _count(text: str) -> int:
     """An integer option as ``int`` reads it, less what ``_plain`` refuses (``1_000``, ``٢``)."""
     if _plain(text):
@@ -154,7 +160,7 @@ def _print_entropies(rows, left: str, right: str):
     """The human ``(alpha, left, right)`` entropy table of a minimality or advantage report."""
     print(f"{'alpha':<8}{left:<14}{right}")
     for a, h_left, h_right in rows:
-        print(f"{_format_alpha(a):<8}{_human_num(h_left):<14}{_human_num(h_right)}")
+        print(f"{_alpha_cell(a)}{_human_num(h_left):<14}{_human_num(h_right)}")
 
 
 def lorenz_pair_csv(dist_a, dist_b) -> str:
@@ -203,7 +209,7 @@ def cmd_entropy(args) -> int:
         label = "S_alpha" if isinstance(model, PureStateQuantumModel) else "H_alpha"
         print(f"{'alpha':<8}{label} (bits)")
         for a, bits in rows:
-            print(f"{_format_alpha(a):<8}{_human_num(bits)}")
+            print(f"{_alpha_cell(a)}{_human_num(bits)}")
     return 0
 
 
@@ -419,6 +425,9 @@ def main(argv=None) -> int:
         return 2
     except MachinaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

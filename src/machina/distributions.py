@@ -9,6 +9,7 @@ the shorter one, so (1, 0, 0) and (1, 0) are equivalent.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import os
@@ -240,11 +241,15 @@ def _index(v) -> int:
         return -1
 
 
-def _transfer(x: np.ndarray, op: TransferOp) -> float:
-    """Check one transfer on ``x``, apply it in place, and return eps / gap.
+def _transfer(x: list[float], op: TransferOp) -> float:
+    """Check one transfer on the Python floats ``x``, apply it in place, and return eps / gap.
 
     Legal only while it shrinks the disparity: distinct in-range indices, the
     donor above the recipient, and a real amount with 0 < amount < their gap.
+    Constant time: every caller keeps its running vector as a list of Python
+    floats, the same IEEE doubles as a float64 array without a numpy scalar per
+    access; the amount is taken as a ``float`` too, as a float64 array would
+    take it.
     """
     i, j, eps = _index(op.donor), _index(op.recipient), op.amount
     n = len(x)
@@ -255,6 +260,7 @@ def _transfer(x: np.ndarray, op: TransferOp) -> float:
         raise IllegalTransferError(f"donor entry {x[i]:.6g} does not exceed recipient {x[j]:.6g}")
     if not isinstance(eps, Real):
         raise IllegalTransferError(f"amount {eps!r} is not a number")
+    eps = float(eps)
     if not (0.0 < eps < gap):
         raise IllegalTransferError(f"amount {eps:.6g} outside (0, {gap:.6g})")
     x[i] -= eps
@@ -264,7 +270,7 @@ def _transfer(x: np.ndarray, op: TransferOp) -> float:
 
 def apply_transfer(d, op: TransferOp) -> Distribution:
     """Apply one transfer; legal only while it shrinks the disparity."""
-    out = validate_distribution(d).probs.copy()
+    out = validate_distribution(d).probs.tolist()
     _transfer(out, op)
     return Distribution(out)
 
@@ -277,6 +283,14 @@ def transfer_chain(p, q) -> list[TransferOp]:
     after it, matching one coordinate per step.  Indices in the returned ops
     refer to positions in the *sorted-descending* padded vectors, so replay
     must start from ``p`` sorted descending.  At most n - 1 ops.
+
+    Cost: one pass classifies every entry as over-full (x - y > ``ZERO_TOL``)
+    or under-full (x - y < -``ZERO_TOL``) into two ascending index lists; each
+    op then finds its recipient by bisection, O(log n), and re-classifies only
+    the two entries it touched, on Python floats.  An op moves at most both
+    gaps, so the donor never turns under-full nor the recipient over-full (up
+    to one ulp): the lists only shrink, and each choice is the one a full
+    rescan of x - y would make.
     """
     p = validate_distribution(p)
     q = validate_distribution(q)
@@ -286,24 +300,28 @@ def transfer_chain(p, q) -> list[TransferOp]:
         MajorizationVerdict.EQUIVALENT,
     ):
         raise NotComparableError(f"verdict is {verdict}, need majorization")
-    x, y = _padded_sorted_pair(p, q)
-    x = x.copy()
+    xs, ys = _padded_sorted_pair(p, q)
+    diff = (xs - ys).tolist()
+    over = [i for i, d in enumerate(diff) if d > ZERO_TOL]
+    under = [i for i, d in enumerate(diff) if d < -ZERO_TOL]
+    x, y = xs.tolist(), ys.tolist()
     ops: list[TransferOp] = []
     for _ in range(max(len(x) - 1, 0)):
-        diff = x - y
-        over = np.flatnonzero(diff > ZERO_TOL)
-        if over.size == 0:
+        if not over:
             break
-        j = int(over[-1])
-        under = np.flatnonzero(diff < -ZERO_TOL)
-        under = under[under > j]
-        if under.size == 0:
+        j = over[-1]
+        at = bisect.bisect_right(under, j)
+        if at == len(under):
             break
-        k = int(under[0])
-        op = TransferOp(j, k, float(min(x[j] - y[j], y[k] - x[k])))
+        k = under[at]
+        op = TransferOp(j, k, min(x[j] - y[j], y[k] - x[k]))
         _transfer(x, op)
         ops.append(op)
-    if np.max(np.abs(x - y)) > LANDING_TOL:
+        if not x[j] - y[j] > ZERO_TOL:
+            over.pop()
+        if not x[k] - y[k] < -ZERO_TOL:
+            del under[at]
+    if max(map(abs, map(operator.sub, x, y))) > LANDING_TOL:
         raise NotComparableError("transfer construction failed to land on target")
     return ops
 
@@ -314,8 +332,10 @@ def replay_chain(p, ops) -> Distribution:
     A chain from ``transfer_chain(p, q)`` indexes the vectors padded to the
     longer length, so pass ``pad_to(p, max(len(p), len(q)))`` when q is the
     longer; an index past the end of ``p`` raises ``IllegalTransferError``.
+
+    Cost: one sort, then one constant-time checked step per op on Python floats.
     """
-    x = validate_distribution(p).sorted_desc().copy()
+    x = validate_distribution(p).sorted_desc().tolist()
     for op in ops:
         _transfer(x, op)
     return Distribution(x)
@@ -331,7 +351,7 @@ def chain_to_doubly_stochastic(ops, start, n: int | None = None) -> np.ndarray:
     start onto the sorted target; every factor is orthostochastic.
     """
     start = validate_distribution(start)
-    x = pad_to(start, len(start) if n is None else n).sorted_desc().copy()
+    x = pad_to(start, len(start) if n is None else n).sorted_desc().tolist()
     d = np.eye(len(x))
     for op in ops:
         lam = _transfer(x, op)

@@ -509,11 +509,15 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
                 raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
             if sym in kraus:
                 raise ModelFormatError(f"duplicate kraus for {sym!r}", lineno)
-            # read every row, then judge the shape; one row alive at a time keeps peak RSS down
-            k_mat, widths = np.empty((dim, dim), dtype=complex), []
+            # read every row, then judge the shape; one row alive at a time keeps peak RSS
+            # down, and the dim x dim array waits for a first row of width dim, so that a
+            # short file claiming a large dim costs what its text holds
+            k_mat, widths = None, []
             for i, row in enumerate(_kraus_rows(body)):
                 widths.append(len(entries := _read_pairs(row, lineno)))
-                if i < dim and widths[-1] == dim:
+                if widths[0] == dim and i < dim and widths[-1] == dim:
+                    if k_mat is None:
+                        k_mat = np.empty((dim, dim), dtype=complex)
                     k_mat[i] = entries
             if widths != [dim] * dim:
                 raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)

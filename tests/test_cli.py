@@ -1,9 +1,14 @@
 
 import hashlib
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from machina import cli, qubit_family
 from machina.cli import main
 from machina.hmm import parse_model, renyi_memory, serialize_model
 from machina.catalog import even_odd_split, mbw3
@@ -73,6 +78,25 @@ def test_validate_quantum_file(tmp_path, capsys):
     assert "completeness-residual" in out
 
 
+def test_a_short_file_claiming_a_large_dim_is_refused_before_any_allocation(tmp_path):
+    # a 20000x20000 complex Kraus array needs 6 GiB; under a 2 GiB address-space
+    # limit, allocating it before reading the 1-wide row would run out of memory
+    path = tmp_path / "big.qm"
+    path.write_text("model: quantum\ndim: 20000\nalphabet: 0\nkraus: 0 (1,0)\nstate: A (1,0)\n")
+    limit = 2 << 30
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "machina.cli", "validate", str(path)],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: line 4: kraus for '0' is not 20000x20000\n"
+
+
 # ----------------------------------------------------------------- entropy
 
 def test_entropy_q3(capsys):
@@ -120,6 +144,19 @@ def test_numbers_with_separators_or_non_ascii_digits_exit_two(capsys, argv, err)
     code, out, stderr = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err in stderr
+
+
+def test_human_entropy_rows_keep_a_blank_after_a_long_alpha(capsys):
+    code, out, _ = run(capsys, "entropy", "--process", "mbw3", "--alpha", "1e-320,0.3333333,0.5")
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert [row.split()[0] for row in rows] == ["9.99989e-321", "0.333333", "0.5"]
+    assert all(len(row.split()) == 2 for row in rows)
+    assert rows[2] == "0.5     1.58496"  # an alpha of up to 7 characters keeps its 8-wide column
+    cli._print_entropies([(1e-320, 1.0, 2.0), (0.5, 1.0, 2.0)], "H_machine", "H_model")
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [row.split() for row in rows] == [["9.99989e-321", "1", "2"], ["0.5", "1", "2"]]
+    assert rows[1] == "0.5     1             2"
 
 
 def test_entropy_csv_format(capsys):
@@ -295,6 +332,23 @@ def test_counterexample_default_grid_csv_digest(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "428d4b5c03cce7dcce62f80c0c4ff7364bb2591e9b21c23782dffd2593ee4caa"
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 2.24 GiB"), "Unable to allocate 2.24 GiB"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_running_out_of_memory_is_one_error_line_and_exit_one(exc, message, monkeypatch, capsys):
+    def sweep(grid_size):
+        raise exc
+
+    monkeypatch.setattr(qubit_family, "uniqueness_sweep", sweep)
+    code, out, err = run(capsys, "counterexample", "--grid", "300000000")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------- wordprob

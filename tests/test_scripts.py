@@ -42,3 +42,17 @@ def test_qubit_uniqueness_writes_the_sweep(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "theta,matrix_residual,analytic_residual"
     assert len(lines) == 1 + 400
+
+
+def test_qubit_uniqueness_refuses_a_grid_the_cli_refuses(tmp_path):
+    done = _run_script("qubit_uniqueness.py", "--grid", "1_000", "--out", str(tmp_path / "s.csv"))
+    assert done.returncode == 2
+    assert "invalid int value: '1_000'" in done.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_lorenz_figures_refuses_a_bias_the_cli_refuses(tmp_path):
+    done = _run_script("lorenz_figures.py", "--bias", "٠.٥", "--outdir", str(tmp_path / "out"))
+    assert done.returncode == 2
+    assert "--bias" in done.stderr
+    assert not (tmp_path / "out").exists()
