@@ -13,6 +13,7 @@ import bisect
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
@@ -213,7 +214,15 @@ def renyi_entropy(d, alpha) -> float:
     elif alpha == 1.0:
         h = float(-(p * np.log2(p)).sum())
     else:
-        h = float(math.log2((p**alpha).sum()) / (1.0 - alpha))
+        total = (p**alpha).sum()
+        if total >= sys.float_info.min:
+            h = float(math.log2(total) / (1.0 - alpha))
+        else:
+            # the sum underflows at large alpha; scaled by p_max it is at least 1, and
+            # alpha / (1 - alpha) stays finite where alpha * log2(p_max) would overflow
+            top = float(p.max())
+            scaled = math.log2(((p / top) ** alpha).sum()) / (1.0 - alpha)
+            h = alpha / (1.0 - alpha) * math.log2(top) + scaled
     # + 0.0 turns the -0.0 of a one-point support into 0.0 and leaves every other value unchanged
     return h + 0.0
 

@@ -23,8 +23,11 @@ of the classical read-off, the unifilar HMM of the Kraus images.  A model keeps
 that HMM (built on first use, so its stationary state is solved once) and
 its spectrum, but not the dim x dim density.
 The file grammar is read by ``hmm._read_model_file``, the reader of both kinds.
-Kraus rows end at each ``/`` after a pair's ``)``.  Each row or state line is tokenized
-once; ``float`` reads plain decimals, ``hmm._parse_number`` fractions and every message.
+Kraus rows end at each ``/`` after a pair's ``)``.  A row or state line spaced as the writer
+spaces it is checked by its skeleton, the text left once the numerals are deleted, and
+split at its marks; any other is tokenized once by a regex.  ``float`` reads plain
+decimals, ``hmm._parse_number`` fractions and every message.  The writer prints a state
+line or a whole Kraus body in one ``%`` call.
 """
 
 from __future__ import annotations
@@ -271,10 +274,11 @@ def gram_fixed_point(m: FinitePredictiveModel) -> np.ndarray:
     # slot of each overlap in [upper overlaps..., 1.0]; the diagonal reads the pinned 1.0
     slot = np.full((n, n), size)
     slot[rows, cols] = slot[cols, rows] = np.arange(size)
-    mapped = np.maximum(m.succ, 0)  # a missing transition (-1) reads state 0 at weight 0
-    gather = slot[mapped[rows].T, mapped[cols].T]  # k x size
-    roots = np.sqrt(m.probs)
-    weights = roots[rows].T * roots[cols].T
+    mapped = np.maximum(m.succ, 0).T  # a missing transition (-1) reads state 0 at weight 0
+    roots = np.sqrt(m.probs).T
+    # k x size in C order, so that the sum over symbols adds whole rows, not 3-4 strided entries
+    gather = slot[np.take(mapped, rows, axis=1), np.take(mapped, cols, axis=1)]
+    weights = np.take(roots, rows, axis=1) * np.take(roots, cols, axis=1)
     padded, terms = np.ones(size + 1), np.empty_like(weights)
     depth = min(ANDERSON_DEPTH, size)
     d_res, d_img = np.empty((depth, size)), np.empty((depth, size))
@@ -441,26 +445,44 @@ def quantum_models_equal(a: PureStateQuantumModel, b: PureStateQuantumModel) -> 
 # ---------------------------------------------------------------- file format
 
 _PAIR = re.compile(r"\(([^(),]*),([^(),]*)\)")
+_NUMERALS = str.maketrans("", "", "0123456789.eE+-")
+_MARKS = str.maketrans("(),", "   ")
 
 
 def _read_pairs(text: str, lineno: int) -> np.ndarray:
-    """A run of pairs as complex entries, in one ``float`` pass; fractions, text ``_plain``
-    refuses and failed or non-finite reads go to ``_parse_number``, which words every message."""
-    pieces = _PAIR.split(text)  # text, re, im, text, re, im, ..., text
-    if "".join(pieces[::3]).strip():
-        stray = next(filter(None, map(str.strip, pieces[::3])))
-        raise ModelFormatError(f"expected '(re,im)' pairs, got stray text {stray!r}", lineno)
-    del pieces[::3]
-    if _plain(text) and "/" not in text:
+    """A run of pairs as complex entries, in one ``float`` pass.
+
+    A row spaced as the writer spaces it skips the regex: with its numerals deleted it reads
+    ``(,) (,) ... (,)``, two tokens per pair are left between its marks, and no slot is
+    empty, so the tokens are the pairs' parts and nothing stands between the pairs.  Any
+    other row goes through ``_PAIR.split`` and its stray-text check.  Fractions, text
+    ``_plain`` refuses and failed or non-finite reads go to ``_parse_number``, which words
+    every message."""
+    tokens = text.translate(_MARKS).split()
+    pairs, odd = divmod(len(tokens), 2)
+    plain = (
+        not odd
+        and "(," not in text
+        and ",)" not in text
+        and text.translate(_NUMERALS).strip() == " ".join(["(,)"] * pairs)
+    )
+    if not plain:
+        tokens = _PAIR.split(text)  # text, re, im, text, re, im, ..., text
+        if "".join(tokens[::3]).strip():
+            stray = next(filter(None, map(str.strip, tokens[::3])))
+            raise ModelFormatError(f"expected '(re,im)' pairs, got stray text {stray!r}", lineno)
+        del tokens[::3]
+        plain = _plain(text) and "/" not in text
+    if plain:
         try:
-            values = np.array(list(map(float, pieces)))
+            values = np.array(list(map(float, tokens)))
         except ValueError:
             pass  # _parse_number names the token
         else:
             if np.isfinite(values).all():
                 return values.view(complex)
     # a view keeps a -0 imaginary part, which re + 1j * im would turn into +0
-    return np.array([_parse_number(tok, lineno) for tok in pieces]).view(complex)
+    return np.array([_parse_number(tok, lineno) for tok in tokens]).view(complex)
 
 
 def _kraus_rows(body: str) -> list[str]:
@@ -532,9 +554,17 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
 
 
 def _pairs(values: np.ndarray) -> str:
-    # one % call per row; %.12g prints what distributions._significant prints
-    parts = np.ascontiguousarray(values).view(float).tolist()
-    return " ".join(["(%.12g,%.12g)"] * len(values)) % tuple(parts)
+    # a row, or a matrix with its rows joined by " / ", in one % call; per row, a Kraus body's
+    # row strings and temporaries raised the benchmark's peak RSS.  %.12g prints what
+    # distributions._significant prints.  +0.0 is the one double whose bits are all zero, so
+    # when no imaginary part has a bit set, every pair prints its imaginary part as 0
+    values = np.atleast_2d(values)
+    if not values.imag.view(np.int64).any():
+        pair, parts = "(%.12g,0)", values.real.ravel().tolist()
+    else:
+        pair, parts = "(%.12g,%.12g)", np.ascontiguousarray(values).view(float).ravel().tolist()
+    rows, cols = values.shape
+    return " / ".join([" ".join([pair] * cols)] * rows) % tuple(parts)
 
 
 def serialize_quantum_model(q: PureStateQuantumModel) -> str:
@@ -545,5 +575,6 @@ def serialize_quantum_model(q: PureStateQuantumModel) -> str:
         "alphabet: " + " ".join(q.alphabet),
     ]
     lines += [f"state: {label}  {_pairs(col)}" for label, col in zip(q.labels, q.states.T)]
-    lines += [f"kraus: {x}  " + " / ".join(map(_pairs, q.kraus[x])) for x in q.alphabet]
-    return "\n".join(lines) + "\n"
+    lines += [f"kraus: {x}  {_pairs(q.kraus[x])}" for x in q.alphabet]
+    lines.append("")  # the final newline, without a copy of the whole text to add it
+    return "\n".join(lines)

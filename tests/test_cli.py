@@ -112,6 +112,13 @@ def test_entropy_d4_min_entropy(capsys):
     assert float(out.strip().split()[-1]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_entropy_at_an_alpha_whose_power_sum_underflows(capsys):
+    # mbw3's stationary state is uniform on three states, and (1/3)**700 is 0 in double
+    code, out, err = run(capsys, "entropy", "--process", "mbw3", "--alpha", "700,1e308")
+    assert (code, err) == (0, "")
+    assert [row.split()[-1] for row in out.strip().split("\n")[1:]] == ["1.58496"] * 2
+
+
 def test_entropy_fair_coin_is_zero(capsys):
     code, out, _ = run(capsys, "entropy", "--process", "biased_coin:0.5", "--alpha", "1")
     assert code == 0

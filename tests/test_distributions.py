@@ -160,6 +160,17 @@ def test_renyi_min_entropy():
     assert renyi_entropy(FIG2_P, math.inf) == pytest.approx(-math.log2(0.75), abs=1e-12)
 
 
+def test_renyi_tends_to_min_entropy_at_large_finite_alpha():
+    # [0.5, 0.25, 0.25]**alpha underflows from alpha of about 1075 on; H_inf is 1 bit and
+    # H_alpha - H_inf = log2(1 + 2 * 2**-alpha) / (1 - alpha) + 1 / (alpha - 1)
+    h_inf = renyi_entropy([0.5, 0.25, 0.25], math.inf)
+    values = [renyi_entropy([0.5, 0.25, 0.25], a) for a in (10.0, 1e3, 1e4, 1e8, 1e300, 1e308)]
+    assert values == sorted(values, reverse=True)
+    for alpha, h in zip((10.0, 1e3, 1e4, 1e8, 1e300, 1e308), values):
+        assert h_inf <= h <= h_inf * (1.0 + 2.0 / (alpha - 1.0))
+    assert renyi_entropy(FIG2_P, 1e300) == renyi_entropy(FIG2_P, math.inf)
+
+
 def test_renyi_shannon_of_memory_spectrum():
     spectrum = [0.72855, 0.125, 0.125, 0.02145]
     assert renyi_entropy(spectrum, 1) == pytest.approx(1.20, abs=0.01)

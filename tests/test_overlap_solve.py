@@ -91,6 +91,48 @@ def _dense(m) -> np.ndarray:
     return gram
 
 
+def _f_ordered(m) -> tuple[np.ndarray, int]:
+    """The Anderson loop as it ran with k x size F-ordered gather and weight arrays."""
+    n = len(m.states)
+    rows, cols = np.triu_indices(n, 1)
+    size = rows.size
+    slot = np.full((n, n), size)
+    slot[rows, cols] = slot[cols, rows] = np.arange(size)
+    mapped = np.maximum(m.succ, 0)
+    gather = slot[mapped[rows].T, mapped[cols].T]
+    roots = np.sqrt(m.probs)
+    weights = roots[rows].T * roots[cols].T
+    assert not gather.flags.c_contiguous and gather.flags.f_contiguous
+    padded, depth = np.ones(size + 1), min(quantum.ANDERSON_DEPTH, size)
+    d_res, d_img = np.empty((depth, size)), np.empty((depth, size))
+    normal = np.empty((depth, depth))
+    x = np.zeros(size)
+    for iteration in range(1, quantum.GRAM_MAX_ITER + 1):
+        padded[:size] = x
+        img = (padded[gather] * weights).sum(axis=0)
+        res = img - x
+        if np.max(np.abs(res), initial=0.0) < STEP_TOL:
+            gram = np.eye(n)
+            gram[rows, cols] = gram[cols, rows] = img
+            return gram, iteration
+        if iteration == 1:
+            x = img
+        else:
+            newest = (iteration - 2) % depth
+            d_res[newest], d_img[newest] = res - res_prev, img - img_prev
+            used = min(iteration - 1, depth)
+            hist = d_res[:used]
+            normal[newest, :used] = normal[:used, newest] = hist @ d_res[newest]
+            try:
+                coef = np.linalg.solve(normal[:used, :used], hist @ res)
+            except np.linalg.LinAlgError:
+                x = img
+            else:
+                x = img - coef @ d_img[:used]
+        res_prev, img_prev = res, img
+    raise AssertionError("F-ordered loop did not converge")
+
+
 def _draw(seed: int):
     rng = np.random.default_rng(seed)
     return int(rng.integers(10, 31)), int(rng.integers(2, 5)), float(rng.uniform(0.01, 0.04))
@@ -105,6 +147,25 @@ def test_fixed_point_matches_dense_solve_and_picard_loop(seed):
     assert np.max(np.abs(_apply(_recursion_terms(m), gram) - gram)) < STEP_TOL
     assert np.max(np.abs(gram - _dense(m))) <= 1e-11
     assert np.max(np.abs(gram - _picard(m)[0])) <= 5e-11
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        mbw3,
+        mbw4,
+        lambda: merge(random_unifilar_model(np.random.default_rng(5), 64, 4)),
+        lambda: _near_uniform(4, 40, 3, 0.1),
+    ],
+    ids=["mbw3", "mbw4", "sparse-64", "near-uniform-40"],
+)
+def test_row_ordered_gather_gives_the_f_ordered_bits(make, caplog):
+    m = make()
+    reference, iterations = _f_ordered(m)
+    with caplog.at_level(logging.DEBUG, logger="machina.quantum"):
+        gram = gram_fixed_point(m)
+    assert np.array_equal(gram, reference)
+    assert [r.args[0] for r in caplog.records if r.name == "machina.quantum"] == [iterations]
 
 
 def test_slow_machine_logs_one_short_iteration_count(caplog):

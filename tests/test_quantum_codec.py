@@ -145,9 +145,57 @@ def test_edge_values_format_and_read_back_like_the_references():
             text = quantum._pairs(row)
             assert text == _ref_pairs(row)
             assert _same_bits(quantum._read_pairs(text, 1), _ref_read(text))
-        body = " / ".join(map(quantum._pairs, mat))
+        body = quantum._pairs(mat)
+        assert body == " / ".join(map(_ref_pairs, mat))
         rows = [quantum._read_pairs(row, 1) for row in quantum._kraus_rows(body)]
         assert _same_bits(np.array(rows), _ref_kraus(body))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        np.array([complex(1, -0.0), 0.5]),  # an imaginary -0.0 still prints -0
+        np.array([0.25, complex(0.5, 1e-300), -1.0]),  # one nonzero imaginary part
+        np.array([0.25, complex(-0.0, 0.0), 5e-324]),  # every imaginary part +0.0
+        np.zeros(3, dtype=complex),
+    ],
+    ids=["minus-zero", "one-imaginary", "real", "zeros"],
+)
+def test_real_and_signed_zero_rows_format_like_the_reference(row):
+    assert quantum._pairs(row) == _ref_pairs(row)
+    column = np.stack([row, row]).T[:, 0]  # strided, as a state column is
+    assert quantum._pairs(column) == _ref_pairs(column)
+    # a matrix is written in one call; one complex row sends the whole matrix to the
+    # complex format, which prints a +0.0 imaginary part as 0 too
+    for mat in (np.stack([row, row.real]), np.stack([row.real, row.real])):
+        assert quantum._pairs(mat) == " / ".join(map(_ref_pairs, mat))
+
+
+# rows the skeleton test must decline, or read like the reference when it accepts them;
+# the last three put a numeral outside the pairs and leave a slot empty, so their token
+# count matches although the reference finds stray text
+ROWS = [
+    "(1 2,)", "(,1)", "( 1,2)", "(1,2)(3,4)", "(1,2)\t(3,4)", "(1,2)  (3,4)", " (1,2) (3,4) ",
+    "(1e999,0)", "(\u0662,0)", "(1_0,0)", "(1/2,0)", "(e,0)", "(1,2) (3,4) ", "",
+    "(1,\ud800)", "(1,2)\u00a0(3,4)",
+    "5(,1)", "(1,)2", "(1,2)5 (,4)",
+]
+
+
+def _read_outcome(read, row):
+    try:
+        return read(row, 7)
+    except ModelFormatError as exc:
+        return str(exc), exc.lineno
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_a_row_reads_like_the_per_token_reader(row):
+    got, expected = _read_outcome(quantum._read_pairs, row), _read_outcome(_ref_read, row)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert _same_bits(got, expected)
 
 
 # ------------------------------------------------------------- error parity
@@ -269,7 +317,12 @@ def test_only_the_fallback_reads_token_by_token(monkeypatch):
     def refuse(token, lineno):
         raise AssertionError(f"per-token read of {token!r} on line {lineno}")
 
+    class NoRegex:
+        def split(self, text):
+            raise AssertionError(f"regex split of {text[:20]!r}")
+
     monkeypatch.setattr(quantum, "_parse_number", refuse)
+    monkeypatch.setattr(quantum, "_PAIR", NoRegex())
     for name in ("q3", "phase-9", "built-16"):
         parse_quantum_model(serialize_quantum_model(MODELS[name]))
 
