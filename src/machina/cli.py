@@ -80,7 +80,9 @@ def _human_num(x: float) -> str:
 def _format_alpha(alpha: float) -> str:
     if math.isinf(alpha):
         return "inf"
-    if float(alpha) == int(alpha):
+    # an integral alpha prints as an integer only below 2**53, where every integer is a
+    # double; above, its digits are the double's, not the number asked for (1e308 has 309)
+    if abs(alpha) < 2**53 and float(alpha) == int(alpha):
         return str(int(alpha))
     return f"{alpha:g}"
 

@@ -31,8 +31,9 @@ matrix with its rows scaled to sum to 1: no step subtracts, so each entry is
 accurate to its last digits, and no ``np.linalg`` routine is called.  A
 residual max|pi T - pi| above ``EIG_TOL`` against that scaled chain, or a
 negative entry, raises ``NoConvergenceError``.  A classical model solves once
-and keeps the result for ``memory()`` and ``linear_rep()``; a quantum model
-keeps its classical read-off, so its stationary state is solved once too.
+and keeps the result for ``memory()`` and ``linear_rep()``, and keeps its
+``minimize.refine_partition`` as well; a quantum model keeps its classical
+read-off, so its stationary state is solved once too.
 
 One reader, ``_read_model_file``, owns the model-file grammar of both kinds;
 ``parse_model`` here and ``quantum.parse_quantum_model`` read its output.
@@ -186,6 +187,14 @@ class FinitePredictiveModel:
     def _stationary(self) -> Distribution:
         # one solve per instance: the model and the Distribution are both immutable
         return stationary(self)
+
+    @cached_property
+    def _partition(self):
+        # one refinement per instance, read by minimize.refine_partition; the StatePartition
+        # is immutable too, and minimize imports this module
+        from .minimize import _refine
+
+        return _refine(self)
 
     def total_matrix(self) -> np.ndarray:
         rows, cols = np.nonzero(self.succ >= 0)

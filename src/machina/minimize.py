@@ -71,8 +71,13 @@ def _group_by_emissions(probs: np.ndarray) -> np.ndarray:
 def refine_partition(m: FinitePredictiveModel) -> StatePartition:
     """Coarsest partition stable under emissions and per-symbol successors.
 
-    Blocks come out in order of their first member in ``m.states``.
+    Blocks come out in order of their first member in ``m.states``.  The model keeps
+    its partition, so each model is refined once.
     """
+    return m._partition
+
+
+def _refine(m: FinitePredictiveModel) -> StatePartition:
     labels = _group_by_emissions(m.probs)
     live = m.succ >= 0
     for _ in range(len(m.states)):

@@ -23,11 +23,12 @@ of the classical read-off, the unifilar HMM of the Kraus images.  A model keeps
 that HMM (built on first use, so its stationary state is solved once) and
 its spectrum, but not the dim x dim density.
 The file grammar is read by ``hmm._read_model_file``, the reader of both kinds.
-Kraus rows end at each ``/`` after a pair's ``)``.  A row or state line spaced as the writer
-spaces it is checked by its skeleton, the text left once the numerals are deleted, and
-split at its marks; any other is tokenized once by a regex.  ``float`` reads plain
-decimals, ``hmm._parse_number`` fractions and every message.  The writer prints a state
-line or a whole Kraus body in one ``%`` call.
+The writer prints a state line or a whole Kraus body in one ``%`` call, and a line
+spaced that way is read in one counted ``np.fromstring`` call, once its skeleton (the
+text left when the numerals are deleted) is the writer's.  Any other line is read row by
+row, a Kraus row ending at each ``/`` after a pair's ``)``, and each row is tokenized
+once by a regex; ``float`` reads plain decimals there, ``hmm._parse_number`` fractions
+and every message.
 """
 
 from __future__ import annotations
@@ -446,34 +447,54 @@ def quantum_models_equal(a: PureStateQuantumModel, b: PureStateQuantumModel) -> 
 
 _PAIR = re.compile(r"\(([^(),]*),([^(),]*)\)")
 _NUMERALS = str.maketrans("", "", "0123456789.eE+-")
-_MARKS = str.maketrans("(),", "   ")
+_MARKS = str.maketrans("(),/", "    ")
+
+
+def _read_block(text: str, rows: int, cols: int) -> np.ndarray | None:
+    """A state line (one row) or a Kraus body spaced as the writer spaces it, as a rows x
+    cols complex array from one C parse; ``None`` for any other text, which the row reader
+    then reads or refuses with its messages.
+
+    No slot may be empty, and with its numerals deleted the text must read
+    ``(,) (,) / (,) (,)`` (here 2 x 2): once the marks are blanked, each slot is one run of
+    numerals between blanks.  ``fromstring`` raises on a run it reads only in part (older
+    numpy warns instead, which declines here too), but it stops after ``count`` numbers,
+    which also sizes its buffer once: a ``nan`` put after the text must be the one number
+    read past the slots, so a number outside the pairs or junk after the last number
+    declines.  So do non-finite entries, which the row reader names."""
+    pairs = rows * cols
+    # a writer's line has more than 4 characters per pair, so a short text claiming a large
+    # dim builds no large skeleton
+    if (
+        len(text) < 4 * pairs
+        or "(," in text
+        or ",)" in text
+        or text.translate(_NUMERALS) != " / ".join([" ".join(["(,)"] * cols)] * rows)
+    ):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text.translate(_MARKS) + " nan", sep=" ", count=2 * pairs + 1)
+    except (ValueError, DeprecationWarning):
+        return None
+    if not np.isnan(values[-1]) or not np.isfinite(values[:-1]).all():
+        return None
+    return values[:-1].view(complex).reshape(rows, cols)
 
 
 def _read_pairs(text: str, lineno: int) -> np.ndarray:
-    """A run of pairs as complex entries, in one ``float`` pass.
+    """A run of pairs as complex entries, for a line ``_read_block`` declines.
 
-    A row spaced as the writer spaces it skips the regex: with its numerals deleted it reads
-    ``(,) (,) ... (,)``, two tokens per pair are left between its marks, and no slot is
-    empty, so the tokens are the pairs' parts and nothing stands between the pairs.  Any
-    other row goes through ``_PAIR.split`` and its stray-text check.  Fractions, text
-    ``_plain`` refuses and failed or non-finite reads go to ``_parse_number``, which words
-    every message."""
-    tokens = text.translate(_MARKS).split()
-    pairs, odd = divmod(len(tokens), 2)
-    plain = (
-        not odd
-        and "(," not in text
-        and ",)" not in text
-        and text.translate(_NUMERALS).strip() == " ".join(["(,)"] * pairs)
-    )
-    if not plain:
-        tokens = _PAIR.split(text)  # text, re, im, text, re, im, ..., text
-        if "".join(tokens[::3]).strip():
-            stray = next(filter(None, map(str.strip, tokens[::3])))
-            raise ModelFormatError(f"expected '(re,im)' pairs, got stray text {stray!r}", lineno)
-        del tokens[::3]
-        plain = _plain(text) and "/" not in text
-    if plain:
+    ``_PAIR.split`` finds the pairs, and the text between them must be blank.  Plain
+    decimals are read in one ``float`` pass; fractions, text ``_plain`` refuses and failed
+    or non-finite reads go to ``_parse_number``, which words every message."""
+    tokens = _PAIR.split(text)  # text, re, im, text, re, im, ..., text
+    if "".join(tokens[::3]).strip():
+        stray = next(filter(None, map(str.strip, tokens[::3])))
+        raise ModelFormatError(f"expected '(re,im)' pairs, got stray text {stray!r}", lineno)
+    del tokens[::3]
+    if _plain(text) and "/" not in text:
         try:
             values = np.array(list(map(float, tokens)))
         except ValueError:
@@ -494,6 +515,23 @@ def _kraus_rows(body: str) -> list[str]:
         else:
             rows.append(chunk)
     return rows
+
+
+def _read_kraus_rows(body: str, dim: int, sym: str, lineno: int) -> np.ndarray:
+    """A Kraus body row by row, for any spacing ``_read_block`` declines."""
+    # read every row, then judge the shape; one row alive at a time keeps peak RSS down,
+    # and the dim x dim array waits for a first row of width dim, so that a short file
+    # claiming a large dim costs what its text holds
+    k_mat, widths = None, []
+    for i, row in enumerate(_kraus_rows(body)):
+        widths.append(len(entries := _read_pairs(row, lineno)))
+        if widths[0] == dim and i < dim and widths[-1] == dim:
+            if k_mat is None:
+                k_mat = np.empty((dim, dim), dtype=complex)
+            k_mat[i] = entries
+    if widths != [dim] * dim:
+        raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
+    return k_mat
 
 
 def parse_quantum_model(text: str) -> PureStateQuantumModel:
@@ -518,7 +556,8 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
             label, body = fields
             if label in labels:
                 raise ModelFormatError(f"duplicate state {label!r}", lineno)
-            entries = _read_pairs(body, lineno)
+            block = _read_block(body, 1, dim)
+            entries = _read_pairs(body, lineno) if block is None else block[0]
             if len(entries) != dim:
                 raise ModelFormatError(f"state {label!r} has {len(entries)} != {dim} entries", lineno)
             labels.append(label)
@@ -531,19 +570,8 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
                 raise UnknownSymbolError(f"line {lineno}: unknown symbol {sym!r}")
             if sym in kraus:
                 raise ModelFormatError(f"duplicate kraus for {sym!r}", lineno)
-            # read every row, then judge the shape; one row alive at a time keeps peak RSS
-            # down, and the dim x dim array waits for a first row of width dim, so that a
-            # short file claiming a large dim costs what its text holds
-            k_mat, widths = None, []
-            for i, row in enumerate(_kraus_rows(body)):
-                widths.append(len(entries := _read_pairs(row, lineno)))
-                if widths[0] == dim and i < dim and widths[-1] == dim:
-                    if k_mat is None:
-                        k_mat = np.empty((dim, dim), dtype=complex)
-                    k_mat[i] = entries
-            if widths != [dim] * dim:
-                raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
-            kraus[sym] = k_mat
+            k_mat = _read_block(body, dim, dim)
+            kraus[sym] = _read_kraus_rows(body, dim, sym, lineno) if k_mat is None else k_mat
     missing = [x for x in alphabet if x not in kraus]
     if missing:
         raise ModelFormatError(f"missing kraus operators for {missing}")

@@ -119,6 +119,17 @@ def test_entropy_at_an_alpha_whose_power_sum_underflows(capsys):
     assert [row.split()[-1] for row in out.strip().split("\n")[1:]] == ["1.58496"] * 2
 
 
+def test_an_integral_alpha_prints_in_full_only_while_exact(capsys):
+    alphas = "1e308,1e20,9007199254740992,9007199254740991,2,0.5,inf"
+    shown = ["1e+308", "1e+20", "9.0072e+15", "9007199254740991", "2", "0.5", "inf"]
+    code, out, _ = run(capsys, "entropy", "--process", "mbw3", "--alpha", alphas)
+    assert code == 0
+    assert [row.split()[0] for row in out.strip().split("\n")[1:]] == shown
+    code, out, _ = run(capsys, "entropy", "--process", "mbw3", "--alpha", alphas, "--format", "csv")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.strip().split("\n")[1:]] == shown
+
+
 def test_entropy_fair_coin_is_zero(capsys):
     code, out, _ = run(capsys, "entropy", "--process", "biased_coin:0.5", "--alpha", "1")
     assert code == 0

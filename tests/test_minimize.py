@@ -3,7 +3,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from machina import minimize
+from machina import cli, minimize
 from machina.catalog import (
     biased_coin,
     biased_coin_split,
@@ -115,6 +115,29 @@ def test_minimality_report_refines_once(monkeypatch):
     report = strong_minimality_report(even_odd_split(0.5))
     assert len(calls) == 1
     assert len(report.machine.states) == 4
+
+
+def test_a_model_is_refined_once(monkeypatch, capsys):
+    calls = []
+    refine = minimize._refine
+
+    def counting(m):
+        calls.append(m)
+        return refine(m)
+
+    monkeypatch.setattr(minimize, "_refine", counting)
+    # the command checks minimality, and the overlap solve checks it again
+    assert cli.main(["qmachine", "--process", "mbw3"]) == 0
+    assert len(calls) == 1
+    model = even_odd_split(0.5)
+    part = refine_partition(model)
+    machine = merge(model)
+    assert len(calls) == 2 and calls[-1] is model
+    assert refine_partition(model) is part and not is_epsilon_machine(model)
+    assert len(calls) == 2
+    assert len(machine.states) == len(part.blocks) == 4
+    refine_partition(even_odd_split(0.5))  # another instance is refined on its own
+    assert len(calls) == 3
 
 
 def test_minimality_report_on_minimal_input():

@@ -5,6 +5,8 @@ bits in, same message for every file the reader refuses."""
 import ast
 import inspect
 import re
+import tracemalloc
+import warnings
 from unittest import mock
 
 import hypothesis
@@ -21,6 +23,7 @@ from machina.quantum import (
     PureStateQuantumModel,
     build_qmachine,
     parse_quantum_model,
+    quantum_models_equal,
     serialize_quantum_model,
 )
 from random_models import random_unifilar_model
@@ -196,6 +199,8 @@ def test_a_row_reads_like_the_per_token_reader(row):
         assert got == expected
     else:
         assert _same_bits(got, expected)
+    block = quantum._read_block(row, 1, row.count("(") or 1)
+    assert block is None or not isinstance(expected, tuple) and _same_bits(block[0], expected)
 
 
 # ------------------------------------------------------------- error parity
@@ -296,6 +301,135 @@ def test_a_fraction_entry_reads_like_the_reference():
     assert q.kraus["b"][ROW, COL] == 0
 
 
+# ------------------------------------------------------------- whole bodies
+
+def _file(dim: int, kraus_body: str, state_body: str) -> str:
+    """A one-symbol, one-state file: the Kraus body on line 4, the state line on line 5."""
+    return f"model: quantum\ndim: {dim}\nalphabet: a\nkraus: a  {kraus_body}\nstate: s  {state_body}\n"
+
+
+def _parsed(dim: int, kraus_body: str, state_body: str):
+    """The reader's Kraus matrix and state, before the model checks, or its refusal."""
+    with mock.patch.object(quantum, "PureStateQuantumModel", lambda **kw: kw):
+        try:
+            got = parse_quantum_model(_file(dim, kraus_body, state_body))
+        except ModelFormatError as exc:
+            return str(exc), exc.lineno
+    return got["kraus"]["a"], got["states"][:, 0]
+
+
+def _ref_parsed(dim: int, kraus_body: str, state_body: str):
+    mat = _ref_outcome(kraus_body, dim)
+    if isinstance(mat, str):
+        return mat, 4
+    try:
+        state = _ref_read(state_body, 5)
+    except ModelFormatError as exc:
+        return str(exc), exc.lineno
+    if len(state) != dim:
+        return f"line 5: state 's' has {len(state)} != {dim} entries", 5
+    return mat, state
+
+
+def _same_outcome(got, expected) -> bool:
+    if isinstance(expected[0], str):
+        return got == expected
+    return not isinstance(got[0], str) and all(map(_same_bits, got, expected))
+
+
+def _last(token: str):
+    """Put ``token`` in the last slot of a body or state line."""
+    return lambda text: text[: text.rindex(",") + 1] + token + ")"
+
+
+def _middle(token: str):
+    """Put ``token`` in the real slot of the second pair."""
+    def edit(text):
+        start = text.index("(", 1) + 1
+        return text[:start] + token + text[text.index(",", start):]
+    return edit
+
+
+# every case keeps the writer's spacing; the block reader declines, or reads what the
+# per-token reader reads
+BLOCK_CASES = {
+    "last-0e": _last("0e"),
+    "last-3.5.5": _last("3.5.5"),
+    "last-1e+": _last("1e+"),
+    "last-1e999": _last("1e999"),
+    "last-minus-zero": _last("-0"),
+    "last-fraction": _last("1/2"),
+    "last-empty": _last(""),
+    "last-surrogate": _last("1\ud800"),
+    "middle-3.5.5": _middle("3.5.5"),
+    "middle-0e": _middle("0e"),
+    "middle-minus-zero": _middle("-0"),
+    "middle-surrogate": _middle("\ud800"),
+    "middle-fraction": _middle("0/3"),
+    "leading-nbsp": "\u00a0{}".format,
+    "leading-ideographic-space": "\u3000{}".format,
+    "leading-number": "5 {}".format,
+    "trailing-number": "{} 5".format,
+    "number-after-a-pair": lambda text: text.replace(") ", ")5 ", 1),
+    "number-before-a-pair": lambda text: text.replace(" (", " 5(", 1),
+    "empty-slot": lambda text: text.replace("(", "(,", 1).replace(",", "", 1),
+    # an empty slot and a number outside the pairs leave the count of numbers as it was
+    "number-then-empty-slot": lambda text: "5(," + text[text.index(",") + 1:],
+    "empty-slot-then-number": lambda text: re.sub(r",([^,()]*)\)", r",)\1", text, count=1),
+    "number-after-a-slash": lambda text: text.replace(" / ", " /5 ", 1),
+    "number-before-a-slash": lambda text: text.replace(" / ", " 5/ ", 1),
+    "extra-pair": "{} (0,0)".format,
+    "missing-pair": lambda text: text[text.index(" ") + 1:],
+    "extra-row": "{0} / {0}".format,
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_a_declined_block_reads_like_the_reference(case, dim):
+    edit = BLOCK_CASES[case]
+    mat = _edge_row(np.random.default_rng(dim), dim * dim).reshape(dim, dim)
+    body, state = quantum._pairs(mat), quantum._pairs(mat[0])
+    for kraus_body, state_body in ((edit(body), state), (body, edit(state))):
+        got = _parsed(dim, kraus_body, state_body)
+        assert _same_outcome(got, _ref_parsed(dim, kraus_body, state_body)), (kraus_body, got)
+    for text, rows in ((edit(body), dim), (edit(state), 1)):
+        block = quantum._read_block(text, rows, dim)
+        if block is not None:
+            assert _same_bits(block, _ref_kraus(text)), text
+
+
+def test_a_short_body_claiming_a_large_dim_builds_no_large_string():
+    tracemalloc.start()
+    try:
+        assert quantum._read_block("(1,0) (0,1)", 3000, 3000) is None  # a 36 MB skeleton
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_warning_fromstring_is_a_decline(monkeypatch):
+    """Older numpy warns on a token it reads only part of and returns a short array;
+    under the default filters that warning is not shown."""
+    calls = []
+
+    def old_fromstring(text, sep, count):
+        calls.append(count)
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array([0.0, np.nan])
+
+    monkeypatch.setattr(np, "fromstring", old_fromstring)
+    mat = _phase_model(np.random.default_rng(8), 3).kraus["b"]
+    body, state = quantum._pairs(mat), quantum._pairs(mat[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for kraus_body in (body, _middle("3.5.5")(body)):
+            got = _parsed(3, kraus_body, state)
+            assert _same_outcome(got, _ref_parsed(3, kraus_body, state))
+    assert calls
+
+
 # ------------------------------------------------------------- hot path
 
 def test_only_the_fallback_reads_token_by_token(monkeypatch):
@@ -321,10 +455,16 @@ def test_only_the_fallback_reads_token_by_token(monkeypatch):
         def split(self, text):
             raise AssertionError(f"regex split of {text[:20]!r}")
 
+    def no_rows(*args):
+        raise AssertionError("row-by-row read of a writer-spaced body")
+
     monkeypatch.setattr(quantum, "_parse_number", refuse)
     monkeypatch.setattr(quantum, "_PAIR", NoRegex())
+    monkeypatch.setattr(quantum, "_kraus_rows", no_rows)
+    monkeypatch.setattr(quantum, "_read_pairs", no_rows)
     for name in ("q3", "phase-9", "built-16"):
-        parse_quantum_model(serialize_quantum_model(MODELS[name]))
+        q = parse_quantum_model(serialize_quantum_model(MODELS[name]))
+        assert quantum_models_equal(q, MODELS[name])
 
 
 # ------------------------------------------------------------- fuzzed Kraus bodies
@@ -355,6 +495,18 @@ def _kraus_bodies(draw):
     return dim, draw(st.sampled_from(["/", " / ", " /", "/ ", "//"])).join(rows)
 
 
+@st.composite
+def _writer_bodies(draw):
+    """A dimension and a Kraus body spaced as the writer spaces it, most of them dim x dim."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    rows, cols = dim, dim
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        rows, cols = draw(st.sampled_from([(dim, dim + 1), (dim + 1, dim), (dim - 1, dim)]))
+    pair = st.builds("({},{})".format, _TOKENS, _TOKENS)
+    body = " / ".join(" ".join(draw(pair) for _ in range(cols)) for _ in range(rows))
+    return dim, body
+
+
 def _ref_outcome(body: str, dim: int):
     """The matrix the reference reads from a Kraus body on line 4, or its message."""
     try:
@@ -369,7 +521,7 @@ def _ref_outcome(body: str, dim: int):
 
 
 @hypothesis.settings(derandomize=True, max_examples=500, deadline=None)
-@hypothesis.given(_kraus_bodies())
+@hypothesis.given(st.one_of(_kraus_bodies(), _writer_bodies()))
 def test_fuzzed_kraus_bodies_read_like_the_reference(case):
     dim, body = case
     body = body.strip()
