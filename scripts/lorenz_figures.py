@@ -28,8 +28,7 @@ from machina.catalog import (
     q3,
     q4,
 )
-from machina.cli import lorenz_pair_csv
-from machina.distributions import _plain_float, validate_distribution
+from machina.distributions import _plain_float, lorenz_pair_csv, validate_distribution
 from machina.hmm import stationary
 from machina.quantum import memory_spectrum
 

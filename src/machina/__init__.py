@@ -3,6 +3,7 @@ majorization of their stationary memory distributions."""
 
 from .distributions import (
     ALPHA_GRID,
+    ComparisonReport,
     Distribution,
     LorenzCurve,
     MajorizationVerdict,
@@ -10,7 +11,6 @@ from .distributions import (
     apply_transfer,
     chain_to_doubly_stochastic,
     compare,
-    lorenz_csv,
     lorenz_curve,
     pad_to,
     renyi_entropy,

@@ -24,10 +24,10 @@ from .distributions import (
     ALPHA_GRID,
     _plain,
     _plain_float,
+    _lorenz_pair,
     _significant,
     compare,
-    lorenz_curve,
-    pad_to,
+    lorenz_pair_csv,
     renyi_entropy,
 )
 from .errors import (
@@ -149,28 +149,11 @@ def _write_out(path: str, payload: str) -> str:
     return f"wrote {path}\n"
 
 
-def _lorenz_pair(dist_a, dist_b):
-    """Verdict and (k, cumulative_a, cumulative_b) rows, the shorter vector zero-padded."""
-    n = max(len(dist_a), len(dist_b))
-    dist_a, dist_b = pad_to(dist_a, n), pad_to(dist_b, n)
-    curve_a, curve_b = lorenz_curve(dist_a), lorenz_curve(dist_b)
-    rows = zip(curve_a.k, curve_a.cumulative, curve_b.cumulative)
-    return compare(dist_a, dist_b), [(int(k), ca, cb) for k, ca, cb in rows]
-
-
 def _print_entropies(rows, left: str, right: str):
     """The human ``(alpha, left, right)`` entropy table of a minimality or advantage report."""
     print(f"{'alpha':<8}{left:<14}{right}")
     for a, h_left, h_right in rows:
         print(f"{_alpha_cell(a)}{_human_num(h_left):<14}{_human_num(h_right)}")
-
-
-def lorenz_pair_csv(dist_a, dist_b) -> str:
-    """Two Lorenz curves as CSV: the verdict line, then ``k,cumulative_a,cumulative_b``."""
-    verdict, rows = _lorenz_pair(dist_a, dist_b)
-    lines = [f"verdict,{verdict}", "k,cumulative_a,cumulative_b"]
-    lines += [f"{k},{_significant(ca)},{_significant(cb)}" for k, ca, cb in rows]
-    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------- subcommands
@@ -188,6 +171,7 @@ def cmd_validate(args) -> int:
         print("irreducible: ok")
         print(f"stationary-residual: {resid:.3g}")
     else:
+        classical_equivalent(model)  # an ambiguous read-off raises before anything prints
         print("kind: quantum")
         print(f"dim: {model.dim}")
         print(f"labels: {model.n}")
@@ -280,7 +264,7 @@ def cmd_qmachine(args) -> int:
     print("gram:")
     for row in gram:
         print("  " + " ".join(f"{v:>10.6g}" for v in row))
-    print("spectrum: " + " ".join(_human_num(v) for v in report.spectrum.probs))
+    print("spectrum: " + " ".join(_human_num(v) for v in report.first.probs))
     print(f"verdict: {report.verdict}")
     _print_entropies(report.entropies, "S_quantum", "H_classical")
     print(wrote, end="")

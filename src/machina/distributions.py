@@ -186,11 +186,20 @@ def _significant(x: float) -> str:
     return f"{x:.12g}"
 
 
-def lorenz_csv(curve: LorenzCurve) -> str:
-    """Serialize one curve: header ``k,cumulative``, 12 significant digits, LF."""
-    lines = ["k,cumulative"]
-    for k, c in zip(curve.k, curve.cumulative):
-        lines.append(f"{int(k)},{_significant(c)}")
+def _lorenz_pair(dist_a, dist_b):
+    """Verdict and (k, cumulative_a, cumulative_b) rows, the shorter vector zero-padded."""
+    n = max(len(dist_a), len(dist_b))
+    dist_a, dist_b = pad_to(dist_a, n), pad_to(dist_b, n)
+    curve_a, curve_b = lorenz_curve(dist_a), lorenz_curve(dist_b)
+    rows = zip(curve_a.k, curve_a.cumulative, curve_b.cumulative)
+    return compare(dist_a, dist_b), [(int(k), ca, cb) for k, ca, cb in rows]
+
+
+def lorenz_pair_csv(dist_a, dist_b) -> str:
+    """Two Lorenz curves as CSV: the verdict line, then ``k,cumulative_a,cumulative_b``."""
+    verdict, rows = _lorenz_pair(dist_a, dist_b)
+    lines = [f"verdict,{verdict}", "k,cumulative_a,cumulative_b"]
+    lines += [f"{k},{_significant(ca)},{_significant(cb)}" for k, ca, cb in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -231,6 +240,24 @@ def renyi_negentropy(d, alpha) -> float:
     """log2(n) - H_alpha; grows under zero-padding, unlike the entropy."""
     d = validate_distribution(d)
     return math.log2(len(d)) - renyi_entropy(d, alpha)
+
+
+@dataclass(frozen=True, eq=False)
+class ComparisonReport:
+    """One memory distribution against another: the verdict and the Renyi table."""
+
+    first: Distribution
+    second: Distribution
+    verdict: MajorizationVerdict
+    entropies: tuple[tuple[float, float, float], ...]  # (alpha, H first, H second)
+
+    @classmethod
+    def of(cls, first, second, **extra):
+        """The report of ``first`` against ``second`` over ``ALPHA_GRID``; ``extra`` fills
+        the fields a subclass adds."""
+        first, second = validate_distribution(first), validate_distribution(second)
+        rows = tuple((a, renyi_entropy(first, a), renyi_entropy(second, a)) for a in ALPHA_GRID)
+        return cls(first, second, compare(first, second), rows, **extra)
 
 
 @dataclass(frozen=True)

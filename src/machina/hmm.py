@@ -385,7 +385,7 @@ def split_state(
         raise UnreachableCopyError(
             f"router must cover exactly the incoming transitions of {target!r}: {incoming}"
         )
-    if any(not (0 <= c < k) for c in router.values()):
+    if any(not (0 <= _index(c) < k) for c in router.values()):
         raise UnreachableCopyError(f"router values must lie in 0..{k - 1}")
     missing = set(range(k)) - set(router.values())
     if missing:

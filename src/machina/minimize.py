@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    ALPHA_GRID,
-    Distribution,
-    MajorizationVerdict,
-    compare,
-    renyi_entropy,
-)
+from .distributions import ComparisonReport
 from .hmm import FinitePredictiveModel, _live_transitions
 from .tolerances import EQUAL_TOL
 
@@ -126,15 +120,11 @@ def _quotient(m: FinitePredictiveModel, part: StatePartition) -> FinitePredictiv
 
 
 @dataclass(frozen=True, eq=False)
-class MinimalityReport:
-    """Comparison of a model against its merged minimal machine."""
+class MinimalityReport(ComparisonReport):
+    """Comparison of a merged minimal machine (``first``) against the model (``second``)."""
 
     machine: FinitePredictiveModel
     partition: StatePartition
-    machine_stationary: Distribution
-    model_stationary: Distribution
-    verdict: MajorizationVerdict
-    entropies: tuple[tuple[float, float, float], ...]  # (alpha, H machine, H model)
 
     @property
     def already_minimal(self) -> bool:
@@ -149,20 +139,7 @@ def strong_minimality_report(m: FinitePredictiveModel) -> MinimalityReport:
     """
     part = refine_partition(m)
     machine = _quotient(m, part)
-    pi_machine = machine.memory()
-    pi_model = m.memory()
-    verdict = compare(pi_machine, pi_model)
-    rows = tuple(
-        (a, renyi_entropy(pi_machine, a), renyi_entropy(pi_model, a)) for a in ALPHA_GRID
-    )
-    return MinimalityReport(
-        machine=machine,
-        partition=part,
-        machine_stationary=pi_machine,
-        model_stationary=pi_model,
-        verdict=verdict,
-        entropies=rows,
-    )
+    return MinimalityReport.of(machine.memory(), m.memory(), machine=machine, partition=part)
 
 
 def canonical_encoding(m: FinitePredictiveModel) -> tuple:

@@ -26,9 +26,8 @@ The file grammar is read by ``hmm._read_model_file``, the reader of both kinds.
 The writer prints a state line or a whole Kraus body in one ``%`` call, and a line
 spaced that way is read in one counted ``np.fromstring`` call, once its skeleton (the
 text left when the numerals are deleted) is the writer's.  Any other line is read row by
-row, a Kraus row ending at each ``/`` after a pair's ``)``, and each row is tokenized
-once by a regex; ``float`` reads plain decimals there, ``hmm._parse_number`` fractions
-and every message.
+row, a Kraus row ending at each ``/`` after a pair's ``)``: each row is tokenized once by
+a regex, and ``hmm._parse_number`` reads every token and words every message.
 """
 
 from __future__ import annotations
@@ -43,16 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distributions import (
-    ALPHA_GRID,
-    Distribution,
-    MajorizationVerdict,
-    _plain,
-    compare,
-    pad_to,
-    renyi_entropy,
-    validate_distribution,
-)
+from .distributions import ComparisonReport, Distribution, pad_to, validate_distribution
 from .errors import (
     AmbiguousSuccessorError,
     CompletenessViolationError,
@@ -409,18 +399,8 @@ def quantum_word_distribution(q: PureStateQuantumModel, length: int) -> dict:
     return q.linear_rep().words(length)
 
 
-@dataclass(frozen=True, eq=False)
-class AdvantageReport:
-    """Stationary spectrum versus the classical stationary state."""
-
-    spectrum: Distribution
-    stationary: Distribution
-    verdict: MajorizationVerdict
-    entropies: tuple[tuple[float, float, float], ...]  # (alpha, S quantum, H classical)
-
-
-def strong_advantage_report(q: PureStateQuantumModel, pi=None) -> AdvantageReport:
-    """Compare the memory spectrum against the classical stationary state.
+def strong_advantage_report(q: PureStateQuantumModel, pi=None) -> ComparisonReport:
+    """Compare the memory spectrum (``first``) against the classical stationary state.
 
     The spectrum majorizes (or ties) the stationary state, so every Renyi
     memory of the quantum model is at most the classical one.  ``pi``
@@ -429,10 +409,7 @@ def strong_advantage_report(q: PureStateQuantumModel, pi=None) -> AdvantageRepor
     (duplicate memory vectors after synthesizing a non-minimal input).
     """
     pi = classical_equivalent(q).memory() if pi is None else validate_distribution(pi)
-    lam = spectrum(stationary_density(q, pi), q.n)
-    verdict = compare(lam, pi)
-    rows = tuple((a, renyi_entropy(lam, a), renyi_entropy(pi, a)) for a in ALPHA_GRID)
-    return AdvantageReport(spectrum=lam, stationary=pi, verdict=verdict, entropies=rows)
+    return ComparisonReport.of(spectrum(stationary_density(q, pi), q.n), pi)
 
 
 def quantum_models_equal(a: PureStateQuantumModel, b: PureStateQuantumModel) -> bool:
@@ -486,22 +463,14 @@ def _read_block(text: str, rows: int, cols: int) -> np.ndarray | None:
 def _read_pairs(text: str, lineno: int) -> np.ndarray:
     """A run of pairs as complex entries, for a line ``_read_block`` declines.
 
-    ``_PAIR.split`` finds the pairs, and the text between them must be blank.  Plain
-    decimals are read in one ``float`` pass; fractions, text ``_plain`` refuses and failed
-    or non-finite reads go to ``_parse_number``, which words every message."""
+    ``_PAIR.split`` finds the pairs, and the text between them must be blank; each token
+    is then read by ``_parse_number``, which reads decimals and fractions and words every
+    message."""
     tokens = _PAIR.split(text)  # text, re, im, text, re, im, ..., text
     if "".join(tokens[::3]).strip():
         stray = next(filter(None, map(str.strip, tokens[::3])))
         raise ModelFormatError(f"expected '(re,im)' pairs, got stray text {stray!r}", lineno)
     del tokens[::3]
-    if _plain(text) and "/" not in text:
-        try:
-            values = np.array(list(map(float, tokens)))
-        except ValueError:
-            pass  # _parse_number names the token
-        else:
-            if np.isfinite(values).all():
-                return values.view(complex)
     # a view keeps a -0 imaginary part, which re + 1j * im would turn into +0
     return np.array([_parse_number(tok, lineno) for tok in tokens]).view(complex)
 

@@ -145,16 +145,6 @@ def transition_magnitudes(c: CandidateModel2D) -> np.ndarray:
     return np.abs(amplitudes) ** 2
 
 
-def phase_constraint_residual(c: CandidateModel2D) -> np.ndarray:
-    """Cancellation expression for the degenerate transition-amplitude matrix.
-
-    Evaluates |8 + e^{i(phi1+phi2+phi3)} + e^{-i(phi1+phi2+phi3)} - 2*3|,
-    which the phase budget drives to zero at machine precision.
-    """
-    total = c.phi1 + c.phi2 + c.phi3
-    return np.abs(8.0 + np.exp(1j * total) + np.exp(-1j * total) - 2.0 * 3.0)
-
-
 def completeness_matrix(c: CandidateModel2D) -> np.ndarray:
     """Frame operators of the duals, sum_x |eps_x><eps_x| (...x2x2)."""
     ket = c.duals.conj()

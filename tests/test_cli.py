@@ -49,6 +49,14 @@ def test_validate_garbage_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_validate_refuses_a_written_model_whose_read_off_is_ambiguous(tmp_path, capsys):
+    path = tmp_path / "twin.qm"
+    code, _, _ = run(capsys, "qmachine", "biased_coin_split:0.6:b", "--out", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (1, "", "error: state 'B' under K['0']: 2 matching states\n")
+
+
 def test_validate_missing_file_exits_two(capsys):
     code, _, _ = run(capsys, "validate", "/nonexistent/nothing.hmm")
     assert code == 2

@@ -16,7 +16,6 @@ from machina.distributions import (
     chain_to_doubly_stochastic,
     compare,
     comparison_tolerance,
-    lorenz_csv,
     lorenz_curve,
     pad_to,
     renyi_entropy,
@@ -138,11 +137,6 @@ def test_lorenz_point_mass():
 
 def test_lorenz_uniform():
     assert np.allclose(lorenz_curve([0.25] * 4).cumulative, [0, 0.25, 0.5, 0.75, 1])
-
-
-def test_lorenz_csv_format():
-    text = lorenz_csv(lorenz_curve(FIG2_P))
-    assert text == "k,cumulative\n0,0\n1,0.75\n2,0.875\n3,1\n4,1\n5,1\n"
 
 
 # --------------------------------------------------------------- entropies

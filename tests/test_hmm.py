@@ -296,6 +296,13 @@ def test_split_k_must_be_a_positive_integer(k):
         split_state(even_odd(0.5), "A", k, router={("B", "1"): 0, ("D", "1"): 1})
 
 
+@pytest.mark.parametrize("copy", [1.0, True, 0.5])
+def test_split_router_values_must_be_copy_indices(copy):
+    router = {("A", "0"): 0, ("D", "0"): copy}
+    with pytest.raises(UnreachableCopyError, match=r"^router values must lie in 0\.\.1$"):
+        split_state(even_odd(0.5), "C", 2, router)
+
+
 def test_split_router_must_cover_incoming():
     with pytest.raises(UnreachableCopyError):
         split_state(biased_coin(0.6), "A", 2, {("A", "1"): 0})

@@ -91,8 +91,8 @@ def test_merge_preserves_word_measure(model):
 def test_minimality_report_on_coin_split():
     report = strong_minimality_report(biased_coin_split(0.6, "b"))
     assert report.verdict is MajorizationVerdict.STRICTLY_MAJORIZES
-    assert np.allclose(report.machine_stationary.probs, [1.0])
-    assert np.allclose(np.sort(report.model_stationary.probs), [0.4, 0.6])
+    assert np.allclose(report.first.probs, [1.0])
+    assert np.allclose(np.sort(report.second.probs), [0.4, 0.6])
     for _, h_machine, h_model in report.entropies:
         assert h_machine == pytest.approx(0.0, abs=1e-12)
         assert h_machine <= h_model + 1e-9

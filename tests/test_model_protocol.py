@@ -69,8 +69,8 @@ def test_strong_minimality_report_reads_the_kept_stationary_state(monkeypatch):
     solves = _count_solves(monkeypatch)
     report = strong_minimality_report(model)
     assert len(solves) == 1  # the merged machine's; the model's was kept
-    assert report.model_stationary is memory
-    assert report.machine_stationary is report.machine.memory()
+    assert report.second is memory
+    assert report.first is report.machine.memory()
 
 
 def test_a_quantum_model_keeps_its_read_off():

@@ -301,8 +301,8 @@ def test_qubit_validation_errors_and_their_exit_codes(tmp_path, capsys):
     twin.write_text(TWIN_STATES_FILE)
     assert main(["validate", str(hadamard)]) == 1
     assert leaves in capsys.readouterr().err
-    assert main(["validate", str(twin)]) == 0
-    assert "unifilar: ok" in capsys.readouterr().out
+    assert main(["validate", str(twin)]) == 1
+    assert capsys.readouterr() == ("", f"error: {twins}\n")
     assert main(["entropy", str(twin)]) == 1
     assert capsys.readouterr().err == f"error: {twins}\n"
 

@@ -19,7 +19,6 @@ from machina.qubit_family import (
     candidate,
     counterexample_report,
     frame_residual,
-    phase_constraint_residual,
     sweep_csv,
     transition_magnitudes,
     uniqueness_sweep,
@@ -92,11 +91,6 @@ def test_phase_budget_sums_to_pi():
 def test_transition_magnitudes_everywhere(theta):
     table = transition_magnitudes(candidate(theta))
     assert np.max(np.abs(table - MAGNITUDE_TARGET)) < 1e-9
-
-
-@pytest.mark.parametrize("theta", [math.pi, 2.2, -1.5])
-def test_phase_constraint_cancels(theta):
-    assert phase_constraint_residual(candidate(theta)) < 1e-12
 
 
 # ---------------------------------------------------------------- residuals

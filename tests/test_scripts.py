@@ -33,6 +33,9 @@ def test_lorenz_figures_writes_the_seven_tables(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.csv" for n in LORENZ_TABLES)
     for name in LORENZ_TABLES:
         assert (tmp_path / f"{name}.csv").read_text().startswith("verdict,")
+    golden = ROOT / "tests" / "golden"
+    for table, expected in (("q3_vs_d3", "lorenz_q3_d3"), ("mbw4_vs_q4", "lorenz_mbw4_q4")):
+        assert (tmp_path / f"{table}.csv").read_bytes() == (golden / f"{expected}.csv").read_bytes()
 
 
 def test_qubit_uniqueness_writes_the_sweep(tmp_path):
