@@ -15,20 +15,11 @@ Usage: python scripts/lorenz_figures.py [--outdir figures_out]
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from machina.catalog import (
-    biased_coin,
-    biased_coin_split,
-    d3,
-    d4,
-    even_odd,
-    even_odd_split,
-    mbw4,
-    q3,
-    q4,
-)
-from machina.distributions import _plain_float, lorenz_pair_csv, validate_distribution
+from machina.catalog import d3, d4, even_odd, even_odd_split, get_process, mbw4, q3, q4
+from machina.distributions import lorenz_pair_csv, validate_distribution
 from machina.hmm import stationary
 from machina.quantum import memory_spectrum
 
@@ -36,18 +27,20 @@ from machina.quantum import memory_spectrum
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="figures_out")
-    parser.add_argument(
-        "--bias", type=_plain_float, default=0.6, help="coin bias for the first pair"
-    )
+    parser.add_argument("--bias", default="0.6", help="coin bias for the first pair")
     args = parser.parse_args()
+    try:
+        # the catalog reads the bias as the CLI reads a parameter, before any file is made
+        coin = get_process(f"biased_coin:{args.bias}")
+        coin_split = get_process(f"biased_coin_split:{args.bias}:b")
+    except ValueError as exc:
+        print(f"error: --bias {args.bias!r}: {exc}", file=sys.stderr)
+        return 2
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     comparisons = {
-        "coin_machine_vs_split": (
-            stationary(biased_coin(args.bias)),
-            stationary(biased_coin_split(args.bias, "b")),
-        ),
+        "coin_machine_vs_split": (stationary(coin), stationary(coin_split)),
         "even_odd_vs_split": (
             stationary(even_odd(0.5)),
             stationary(even_odd_split(0.5)),

@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .distributions import _plain_float
+from .distributions import _number
 from .hmm import FinitePredictiveModel
 from .quantum import PureStateQuantumModel, build_qmachine
 
@@ -166,10 +166,10 @@ def q4() -> PureStateQuantumModel:
 
 
 _BUILDERS = {
-    "biased_coin": (biased_coin, (_plain_float,)),
-    "biased_coin_split": (biased_coin_split, (_plain_float, str)),
-    "even_odd": (even_odd, (_plain_float,)),
-    "even_odd_split": (even_odd_split, (_plain_float,)),
+    "biased_coin": (biased_coin, (_number,)),
+    "biased_coin_split": (biased_coin_split, (_number, str)),
+    "even_odd": (even_odd, (_number,)),
+    "even_odd_split": (even_odd_split, (_number,)),
     "mbw3": (mbw3, ()),
     "mbw4": (mbw4, ()),
     "d3": (d3, ()),

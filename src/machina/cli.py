@@ -22,9 +22,8 @@ import numpy as np
 from .catalog import catalog_names, get_process
 from .distributions import (
     ALPHA_GRID,
-    _plain,
-    _plain_float,
     _lorenz_pair,
+    _number,
     _significant,
     compare,
     lorenz_pair_csv,
@@ -93,13 +92,12 @@ def _alpha_cell(alpha: float) -> str:
 
 
 def _count(text: str) -> int:
-    """An integer option as ``int`` reads it, less what ``_plain`` refuses (``1_000``, ``٢``)."""
-    if _plain(text):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """An integer option as ``int`` reads it, less what ``_number`` refuses (``1_000``, ``٢``)."""
+    try:
+        _number(text)
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _parse_text(text: str):
@@ -133,10 +131,7 @@ def _parse_alphas(raw: str | None):
         tok = tok.strip()
         if not tok:
             continue
-        value = _plain_float(tok)
-        if not value >= 0:
-            raise ValueError(f"alpha must be nonnegative, got {tok}")
-        out.append(value)
+        out.append(_number(tok))  # renyi_entropy refuses a negative or nan alpha
     if not out:
         raise ValueError("empty alpha list")
     return tuple(out)

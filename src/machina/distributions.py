@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from numbers import Real
 
 import numpy as np
@@ -33,17 +34,17 @@ from .tolerances import EQUAL_TOL, LANDING_TOL, ZERO_TOL
 ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, math.inf)
 
 
-def _plain(text: str) -> bool:
-    """No ``_`` and no non-ASCII character: ``float`` and ``Fraction`` accept digit
-    separators and non-ASCII digits, machina's number grammar does not."""
-    return text.isascii() and "_" not in text
-
-
-def _plain_float(text: str) -> float:
-    """``float(text)`` for text ``_plain`` accepts; other text raises ``bad number``."""
-    if not _plain(text):
-        raise ValueError(f"bad number {text!r}")
-    return float(text)
+def _number(text: str) -> float:
+    """machina's number grammar: an ASCII decimal or ``a/b`` fraction without ``_``, read
+    by ``float`` or ``Fraction``, which alone would also take digit separators and non-ASCII
+    digits.  Other text, a zero denominator and a fraction too large for a double raise
+    ``bad number``; range and finiteness are the caller's."""
+    try:
+        if text.isascii() and "_" not in text:
+            return float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"bad number {text!r}")
 
 
 def comparison_tolerance() -> float:
@@ -51,7 +52,10 @@ def comparison_tolerance() -> float:
     raw = os.environ.get("MACHINA_TOL")
     if raw is None:
         return EQUAL_TOL
-    tol = float(raw) if _plain(raw) else math.nan
+    try:
+        tol = _number(raw)
+    except ValueError:
+        tol = math.nan
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"MACHINA_TOL must be a finite nonnegative number, got {raw!r}")
     return tol

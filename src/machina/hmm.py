@@ -45,14 +45,13 @@ import math
 import operator
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
 
 from .distributions import (
-    Distribution, _index, _plain, _significant, renyi_entropy, validate_distribution,
+    Distribution, _index, _number, _significant, renyi_entropy, validate_distribution,
 )
 from .errors import (
     DuplicateTransitionError,
@@ -425,13 +424,12 @@ def _live_transitions(m: FinitePredictiveModel):
 # ---------------------------------------------------------------- file format
 
 def _parse_number(token: str, lineno: int) -> float:
-    """An ASCII decimal or ``a/b`` fraction; anything else (nan, inf, ``_``) is an error."""
+    """``distributions._number`` with the line number on its message; nan and inf, which
+    it reads, are an error here."""
     try:
-        if not _plain(token):
-            raise ValueError(token)
-        value = float(Fraction(token)) if "/" in token else float(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelFormatError(f"bad number {token!r}", lineno) from exc
+        value = _number(token)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc), lineno) from exc
     if not math.isfinite(value):
         raise ModelFormatError(f"non-finite number {token!r}", lineno)
     return value

@@ -25,9 +25,10 @@ its spectrum, but not the dim x dim density.
 The file grammar is read by ``hmm._read_model_file``, the reader of both kinds.
 The writer prints a state line or a whole Kraus body in one ``%`` call, and a line
 spaced that way is read in one counted ``np.fromstring`` call, once its skeleton (the
-text left when the numerals are deleted) is the writer's.  Any other line is read row by
-row, a Kraus row ending at each ``/`` after a pair's ``)``: each row is tokenized once by
-a regex, and ``hmm._parse_number`` reads every token and words every message.
+text left when the numerals are deleted) is the writer's.  Any other line is cut into
+rows, a Kraus row ending at each ``/`` after a pair's ``)``: each row is tokenized once by
+a regex, ``hmm._parse_number`` reads every token and words every message, and a Kraus
+body's shape is judged once all its rows are read.
 """
 
 from __future__ import annotations
@@ -486,23 +487,6 @@ def _kraus_rows(body: str) -> list[str]:
     return rows
 
 
-def _read_kraus_rows(body: str, dim: int, sym: str, lineno: int) -> np.ndarray:
-    """A Kraus body row by row, for any spacing ``_read_block`` declines."""
-    # read every row, then judge the shape; one row alive at a time keeps peak RSS down,
-    # and the dim x dim array waits for a first row of width dim, so that a short file
-    # claiming a large dim costs what its text holds
-    k_mat, widths = None, []
-    for i, row in enumerate(_kraus_rows(body)):
-        widths.append(len(entries := _read_pairs(row, lineno)))
-        if widths[0] == dim and i < dim and widths[-1] == dim:
-            if k_mat is None:
-                k_mat = np.empty((dim, dim), dtype=complex)
-            k_mat[i] = entries
-    if widths != [dim] * dim:
-        raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
-    return k_mat
-
-
 def parse_quantum_model(text: str) -> PureStateQuantumModel:
     """Parse the line-oriented quantum model format."""
     records = _read_model_file(text, "quantum", ("dim", "alphabet"), ("state", "kraus"))
@@ -540,7 +524,14 @@ def parse_quantum_model(text: str) -> PureStateQuantumModel:
             if sym in kraus:
                 raise ModelFormatError(f"duplicate kraus for {sym!r}", lineno)
             k_mat = _read_block(body, dim, dim)
-            kraus[sym] = _read_kraus_rows(body, dim, sym, lineno) if k_mat is None else k_mat
+            if k_mat is None:
+                # every row is read before the shape is judged, and the dim x dim array is
+                # built only from dim rows of dim entries, so a short text costs what it holds
+                rows = [_read_pairs(row, lineno) for row in _kraus_rows(body)]
+                if len(rows) != dim or any(len(row) != dim for row in rows):
+                    raise ModelFormatError(f"kraus for {sym!r} is not {dim}x{dim}", lineno)
+                k_mat = np.array(rows)
+            kraus[sym] = k_mat
     missing = [x for x in alphabet if x not in kraus]
     if missing:
         raise ModelFormatError(f"missing kraus operators for {missing}")

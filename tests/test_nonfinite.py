@@ -4,19 +4,23 @@ A number in a model file is an ASCII decimal or ``a/b`` fraction: the digit
 separator ``_`` and non-ASCII digits, which ``float`` would accept, are parse errors.
 """
 
+import ast
 import math
 import re
+from pathlib import Path
 
 import pytest
 
 from machina.catalog import d3
 from machina.cli import main
-from machina.distributions import Distribution, compare, renyi_entropy
+from machina.distributions import Distribution, compare, comparison_tolerance, renyi_entropy
 from machina.errors import MachinaError, ModelFormatError
 from machina.hmm import FinitePredictiveModel, parse_model
 from machina.quantum import PureStateQuantumModel, parse_quantum_model, serialize_quantum_model
 
 TOKENS = ["nan", "inf", "-inf"]
+# a fraction whose value no double holds: float(Fraction(...)) raises OverflowError
+HUGE_FRACTION = "1" + "0" * 400 + "/1"
 
 COIN_FILE = "model: classical\nalphabet: 0 1\nstates: A\nt: A 0 {} A\nt: A 1 0.5 A\n"
 
@@ -92,6 +96,20 @@ def test_underscores_and_non_ascii_digits_are_bad_numbers(kind, token, tmp_path,
     assert f"bad number {token!r}" in captured.err
 
 
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_a_fraction_too_large_for_a_double_is_a_bad_number(kind, tmp_path, capsys):
+    text = COIN_FILE.format(HUGE_FRACTION) if kind == "classical" else _qubit_file(HUGE_FRACTION)
+    parse = parse_model if kind == "classical" else parse_quantum_model
+    with pytest.raises(ModelFormatError, match=re.escape(f"bad number {HUGE_FRACTION!r}")):
+        parse(text)
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: line \d+: bad number '1(0{400})/1'\n", captured.err)
+
+
 @pytest.mark.parametrize("token", TOKENS)
 def test_nonfinite_tolerance_is_rejected(token, monkeypatch):
     monkeypatch.setenv("MACHINA_TOL", token)
@@ -125,7 +143,7 @@ def test_huge_finite_entries_are_refused_before_any_norm(old, new, message, tmp_
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("token", ["1_0", "\u0662", "\uff11"])
+@pytest.mark.parametrize("token", ["1_0", "\u0662", "\uff11", "abc"])
 def test_cli_numbers_follow_the_file_grammar(token, monkeypatch, capsys):
     assert main(["entropy", "mbw3", "--alpha", f"1,{token}"]) == 2
     assert capsys.readouterr().err == f"error: bad number {token!r}\n"
@@ -134,3 +152,48 @@ def test_cli_numbers_follow_the_file_grammar(token, monkeypatch, capsys):
         compare([0.5, 0.5], [0.6, 0.4])
     assert main(["compare", "mbw3", "d3"]) == 2
     assert "MACHINA_TOL must be a finite nonnegative number" in capsys.readouterr().err
+
+
+def test_cli_numbers_read_fractions_as_model_files_do(monkeypatch, capsys):
+    outputs = []
+    for argv in (
+        ["entropy", "mbw3", "--alpha", "1/2"],
+        ["entropy", "mbw3", "--alpha", "0.5"],
+        ["entropy", "biased_coin:2/3", "--format", "csv"],
+        ["entropy", "biased_coin:0.6666666666666666", "--format", "csv"],
+    ):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+    assert outputs[2] == outputs[3] and outputs[2].err == ""
+    monkeypatch.setenv("MACHINA_TOL", "1/2")
+    assert comparison_tolerance() == 0.5
+    assert main(["compare", "mbw3", "d3"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_negative_alpha_is_refused_by_renyi_entropy(capsys):
+    assert main(["entropy", "mbw3", "--alpha", "0,-1"]) == 2
+    assert capsys.readouterr() == ("", "error: alpha must be nonnegative, got -1.0\n")
+
+
+def test_one_function_reads_the_number_grammar():
+    # only distributions imports fractions, and only distributions._number calls Fraction
+    src = Path(__file__).resolve().parents[1] / "src" / "machina"
+    importers, callers = set(), []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+                importers.add(path.stem)
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                importers.add(path.stem)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                callers += [
+                    f"{path.stem}.{func.name}"
+                    for n in ast.walk(func)
+                    if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("Fraction")
+                ]
+    assert importers == {"distributions"}
+    assert callers == ["distributions._number"]
