@@ -14,18 +14,18 @@ One file per comparison, each with the verdict on the first line:
 Usage: python scripts/lorenz_figures.py [--outdir figures_out]
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 from machina.catalog import d3, d4, even_odd, even_odd_split, get_process, mbw4, q3, q4
+from machina.cli import _Parser
 from machina.distributions import lorenz_pair_csv, validate_distribution
 from machina.hmm import stationary
 from machina.quantum import memory_spectrum
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)  # the CLI's one-line usage errors
     parser.add_argument("--outdir", default="figures_out")
     parser.add_argument("--bias", default="0.6", help="coin bias for the first pair")
     args = parser.parse_args()

@@ -9,7 +9,6 @@ CLI refuses, with the CLI's message and exit code.
 Usage: python scripts/qubit_uniqueness.py [--grid 10000] [--out sweep.csv]
 """
 
-import argparse
 import contextlib
 import io
 
@@ -25,7 +24,7 @@ def _counterexample(*argv: str) -> tuple[int, str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli._Parser(description=__doc__)  # the CLI's one-line usage errors
     parser.add_argument("--grid", default="10000")
     parser.add_argument("--out", default="qubit_residual_sweep.csv")
     args = parser.parse_args()

@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -72,6 +71,7 @@ _USAGE_ERRORS = (
     SingularThetaError,
     ValueError,
 )
+WORD_TABLE_LIMIT = 10**7  # symbols that wordprob's prefixes may hold, summed over every length
 
 
 def _human_num(x: float) -> str:
@@ -247,9 +247,7 @@ def cmd_qmachine(args) -> int:
         raise ValueError("qmachine expects a classical model")
     if not is_epsilon_machine(model):
         print("warning: input is not minimal; synthesis proceeds anyway", file=sys.stderr)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        q = build_qmachine(model)
+    q = build_qmachine(model)
     # the input's own stationary state, not the read-off's: synthesis collapses equivalent
     # (or nearly equivalent) states, and then the read-off is ambiguous
     pi = model.memory()
@@ -289,7 +287,16 @@ def _word_table(model, args) -> dict:
 def cmd_wordprob(args) -> int:
     model = _resolve_single(args)
     quantum = isinstance(model, PureStateQuantumModel)
-    table = _word_table(classical_equivalent(model) if quantum else model, args)
+    classical = classical_equivalent(model) if quantum else model
+    paths, cells = np.ones(len(classical.states)), 0.0  # length-t paths on the support, by start
+    for t in range(1, (args.max_len or 0) + 1):  # each t-symbol prefix enumerated is such a path
+        paths = np.where(classical.probs > 0, paths[classical.succ], 0.0).sum(axis=1)
+        cells += t * paths.sum()
+        if cells > WORD_TABLE_LIMIT:
+            raise ValueError(
+                f"--max-len {args.max_len}: the word table could exceed {WORD_TABLE_LIMIT} symbols"
+            )
+    table = _word_table(classical, args)
     probs = _word_table(model, args) if quantum else table
     rows = [
         ("".join(w), probs.get(w, 0.0), abs(probs.get(w, 0.0) - table[w])) for w in sorted(table)

@@ -213,13 +213,14 @@ def renyi_entropy(d, alpha) -> float:
     alpha = 1 is the Shannon limit (0 log 0 taken as 0), alpha = 0 counts the
     support (entries above ``ZERO_TOL``), alpha = inf is -log2 of the largest entry.
     Zero entries never enter the power sum, which keeps the value invariant
-    under zero-padding for every alpha.
+    under zero-padding for every alpha; the rest is rescaled to sum to one.
     """
     d = validate_distribution(d)
     alpha = float(alpha)
     if not alpha >= 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     p = d.probs[d.probs > ZERO_TOL]
+    p /= p.sum()
     if alpha == 0.0:
         return math.log2(p.size)
     if math.isinf(alpha):

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import logging
 import re
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,7 +62,6 @@ from .hmm import (
     _parse_number,
     _read_model_file,
 )
-from .minimize import is_epsilon_machine
 from .tolerances import EIG_TOL, EQUAL_TOL, STEP_TOL, ZERO_TOL
 
 log = logging.getLogger(__name__)
@@ -248,18 +246,10 @@ def gram_fixed_point(m: FinitePredictiveModel) -> np.ndarray:
     A residual that is not finite, or no convergence within
     ``GRAM_MAX_ITER`` iterations, raises ``NoConvergenceError``.
 
-    Well-defined for any unifilar input; minimality is only needed for the
-    result to define a faithful quantum model, so a non-minimal input just
-    earns a warning.  Its refinement stays because it is the only signal:
-    ``biased_coin_split(0.6, "c")`` is not minimal, yet its fixed point is the
-    identity and its model reads off unambiguously.
+    Well-defined for any unifilar input; minimality is needed only for the
+    result to be the faithful q-machine, and ``is_epsilon_machine(m)`` tells a
+    caller whether it holds.
     """
-    if not is_epsilon_machine(m):
-        warnings.warn(
-            "input model has probabilistically equivalent states; "
-            "overlap recursion still runs",
-            stacklevel=2,
-        )
     n = len(m.states)
     rows, cols = np.triu_indices(n, 1)
     size = rows.size

@@ -6,7 +6,6 @@ lines; tolerances are fixed here and nowhere else.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -151,20 +150,18 @@ def test_criterion_08_minimal_machine_majorizes_splits():
 def test_criterion_09_quantum_advantage_on_random_machines():
     start = time.monotonic()
     rng = np.random.default_rng(314159)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for trial in range(200):
-            machine = random_epsilon_machine(rng, max_states=5, max_symbols=3)
-            q = build_qmachine(machine)
-            lam = memory_spectrum(q)
-            pi = stationary(machine)
-            verdict = compare(lam, pi)
-            assert verdict in MAJOR_OR_EQ, (trial, verdict)
-            for alpha in ALPHA_GRID:
-                assert renyi_entropy(lam, alpha) <= renyi_entropy(pi, alpha) + 1e-9, (
-                    trial,
-                    alpha,
-                )
+    for trial in range(200):
+        machine = random_epsilon_machine(rng, max_states=5, max_symbols=3)
+        q = build_qmachine(machine)
+        lam = memory_spectrum(q)
+        pi = stationary(machine)
+        verdict = compare(lam, pi)
+        assert verdict in MAJOR_OR_EQ, (trial, verdict)
+        for alpha in ALPHA_GRID:
+            assert renyi_entropy(lam, alpha) <= renyi_entropy(pi, alpha) + 1e-9, (
+                trial,
+                alpha,
+            )
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
     _report(9, f"200 random machines: spectrum majorizes stationary and every "

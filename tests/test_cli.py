@@ -324,6 +324,23 @@ def test_qmachine_warns_on_redundant_input(capsys):
     assert "spectrum:" in out
 
 
+def test_qmachine_entropies_of_near_twin_states_are_not_negative(tmp_path, capsys):
+    # B and C differ by 1e-6: the input is minimal, the q-machine one-dimensional, and its
+    # spectrum sums to 1 - 2.6e-13, which once printed S_quantum -3.76082e-13 at alpha 0.5
+    path = tmp_path / "twin.hmm"
+    path.write_text(
+        "model: classical\nalphabet: 0 1\nstates: B C\nt: B 0 0.4 C\nt: B 1 0.6 B\n"
+        "t: C 0 0.399999 C\nt: C 1 0.600001 B\n"
+    )
+    code, out, err = run(capsys, "qmachine", str(path))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    rows = [line.split() for line in lines[lines.index("alpha   S_quantum     H_classical") + 1 :]]
+    assert len(rows) == 5
+    assert not [cell for row in rows for cell in row[1:] if cell.startswith("-")]
+    assert [row[1] for row in rows] == ["0"] * 5
+
+
 def test_qmachine_trivial_coin(capsys):
     code, out, _ = run(capsys, "qmachine", "--process", "biased_coin:0.6")
     assert code == 0
@@ -427,6 +444,43 @@ def test_wordprob_table_sums_to_one(capsys):
 def test_wordprob_needs_word_or_length(capsys):
     code, _, _ = run(capsys, "wordprob", "--process", "mbw3")
     assert code == 2
+
+
+def test_wordprob_refuses_a_table_over_the_limit_before_enumerating():
+    # 3**40 rows: the bound must refuse it before a single word is held, so the case runs
+    # in a subprocess under a 2 GiB address-space limit, never unbounded
+    limit = 2 << 30
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "machina.cli", "wordprob", "mbw3", "--max-len", "40"],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: --max-len 40: the word table could exceed {cli.WORD_TABLE_LIMIT} symbols\n"
+    )
+
+
+def test_wordprob_refuses_a_long_word_of_a_one_symbol_model_at_once(tmp_path, capsys):
+    # one path per length, yet every prefix up to 10**9 symbols would be built
+    path = tmp_path / "one.hmm"
+    path.write_text("model: classical\nalphabet: 0\nstates: A\nt: A 0 1 A\n")
+    code, out, err = run(capsys, "wordprob", str(path), "--max-len", "1000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --max-len 1000000000: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "wordprob", str(path), "--max-len", "3")
+    assert (code, out) == (0, "word        probability\n000         1\n")
+
+
+@pytest.mark.parametrize("name, length", [("mbw3", 9), ("even_odd:0.5", 16)])
+def test_wordprob_keeps_the_tables_within_the_limit(capsys, name, length):
+    code, out, err = run(capsys, "wordprob", name, "--max-len", str(length), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.startswith("word,probability\n") and out.count("\n") > 1
 
 
 # ------------------------------------------------------------------- export

@@ -165,6 +165,13 @@ def test_renyi_tends_to_min_entropy_at_large_finite_alpha():
     assert renyi_entropy(FIG2_P, 1e300) == renyi_entropy(FIG2_P, math.inf)
 
 
+def test_renyi_of_a_point_mass_short_of_one_is_zero():
+    # the spectrum of a one-dimensional q-machine: it passes validation, and the
+    # kept support is rescaled before the sum, so no entropy prints as -3.8e-13
+    for alpha in ALPHA_GRID:
+        assert renyi_entropy([1 - 2.6e-13, 0.0], alpha) == 0.0
+
+
 def test_renyi_shannon_of_memory_spectrum():
     spectrum = [0.72855, 0.125, 0.125, 0.02145]
     assert renyi_entropy(spectrum, 1) == pytest.approx(1.20, abs=0.01)

@@ -126,7 +126,7 @@ def test_a_model_is_refined_once(monkeypatch, capsys):
         return refine(m)
 
     monkeypatch.setattr(minimize, "_refine", counting)
-    # the command checks minimality, and the overlap solve checks it again
+    # the command checks minimality; synthesis itself never refines
     assert cli.main(["qmachine", "--process", "mbw3"]) == 0
     assert len(calls) == 1
     model = even_odd_split(0.5)

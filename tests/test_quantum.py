@@ -40,7 +40,7 @@ from machina.hmm import (
     word_distribution,
     word_probability,
 )
-from machina.minimize import merge
+from machina.minimize import is_epsilon_machine, merge
 from machina.quantum import (
     PureStateQuantumModel,
     build_qmachine,
@@ -96,21 +96,14 @@ def test_gram_fixed_point_single_state():
     assert np.allclose(gram_fixed_point(biased_coin(0.6)), [[1.0]])
 
 
-def test_gram_warns_on_redundant_input():
-    with pytest.warns(UserWarning, match="equivalent states"):
-        gram_fixed_point(biased_coin_split(0.6, "b"))
-
-
-def test_redundant_input_with_identity_gram_is_flagged_only_by_the_warning():
+def test_redundant_input_with_identity_gram_is_flagged_only_by_is_epsilon_machine():
     # B and C are equivalent, yet any G[B, C] solves its own equation, so the
-    # fixed point from the identity stays there and the model reads off cleanly
+    # fixed point from the identity stays there and the model reads off cleanly;
+    # synthesis does not warn (UserWarning is an error under this suite)
     m = biased_coin_split(0.6, "c")
-    with pytest.warns(UserWarning, match="equivalent states"):
-        gram = gram_fixed_point(m)
-    assert np.array_equal(gram, np.eye(2))
-    with pytest.warns(UserWarning, match="equivalent states"):
-        q = build_qmachine(m)
-    assert len(classical_equivalent(q).states) == 2
+    assert not is_epsilon_machine(m)
+    assert np.array_equal(gram_fixed_point(m), np.eye(2))
+    assert len(classical_equivalent(build_qmachine(m)).states) == 2
 
 
 # ---------------------------------------------------------------- embedding

@@ -107,3 +107,17 @@ def test_qubit_uniqueness_exits_one_when_memory_runs_out(tmp_path, monkeypatch, 
     assert script.main() == 1
     assert capsys.readouterr() == ("", "error: out of memory\n")
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["lorenz_figures.py", "qubit_uniqueness.py"])
+def test_scripts_refuse_an_unknown_option_in_one_line(name):
+    done = _run_script(name, "--bogus")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: unrecognized arguments: --bogus\n"
+
+
+def test_lorenz_figures_makes_no_outdir_on_an_unknown_option(tmp_path):
+    done = _run_script("lorenz_figures.py", "--bogus", "--outdir", str(tmp_path / "D"))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: unrecognized arguments: --bogus\n"
+    assert not (tmp_path / "D").exists()
